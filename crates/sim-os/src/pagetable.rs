@@ -8,6 +8,38 @@
 //! [`PageTable`] tracks that state and computes the **hugepage coverage**
 //! metric of Figure 17a: the fraction of resident heap bytes backed by
 //! hugepages.
+//!
+//! # Counter invariant
+//!
+//! Residency is sampled after every replayed event, so every aggregate
+//! query ([`resident_bytes`], [`huge_backed_bytes`], [`hugepage_coverage`],
+//! [`denied_hugepages`]) is a field read, never a walk of the regions.
+//! Three running counters always equal a from-scratch recount of the map:
+//!
+//! * `resident_bytes` — mapped bytes minus released TCMalloc pages;
+//! * `huge_regions` — regions still backed by a hugepage. A huge region
+//!   never has a released page, so huge-backed bytes are exactly
+//!   `huge_regions × 2 MiB`;
+//! * `denied_regions` — regions denied THP backing at `mmap` time and not
+//!   yet collapsed or broken.
+//!
+//! Only the five mutators touch them: [`on_mmap_backed`] adds whole
+//! regions, [`on_munmap`] subtracts a region's *resident* part and its
+//! flags, [`subrelease`] and [`reoccupy`] count only the mask bits that
+//! actually flip (so repeating either never counts a page twice), and
+//! [`promote`] moves one region from denied to huge. [`subrelease`] also
+//! clears `denied`: a subrelease-broken hugepage is ordinary small-page
+//! memory and never promotes.
+//!
+//! [`resident_bytes`]: PageTable::resident_bytes
+//! [`huge_backed_bytes`]: PageTable::huge_backed_bytes
+//! [`hugepage_coverage`]: PageTable::hugepage_coverage
+//! [`denied_hugepages`]: PageTable::denied_hugepages
+//! [`on_mmap_backed`]: PageTable::on_mmap_backed
+//! [`on_munmap`]: PageTable::on_munmap
+//! [`subrelease`]: PageTable::subrelease
+//! [`reoccupy`]: PageTable::reoccupy
+//! [`promote`]: PageTable::promote
 
 use crate::addr::{HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES};
 use crate::faults::OsError;
@@ -24,9 +56,10 @@ struct HugeState {
     huge: bool,
     /// THP compaction failed at `mmap` time: the region has always been
     /// 4 KiB-backed and is eligible for khugepaged-style collapse once it
-    /// is fully resident. Subrelease-broken hugepages (`denied == false`,
-    /// `huge == false`) are *not* eligible — the kernel never transparently
-    /// rebuilds those, which is the §3 degradation story.
+    /// is fully resident. Subrelease clears it: subrelease-broken
+    /// hugepages (`denied == false`, `huge == false`) are *not* eligible —
+    /// the kernel never transparently rebuilds those, which is the §3
+    /// degradation story.
     denied: bool,
     /// For broken hugepages: bitmask of *released* (non-resident) TCMalloc
     /// pages. All-zero while `huge` is true.
@@ -59,8 +92,39 @@ impl HugeState {
     }
 }
 
+/// Bitmask of TCMalloc pages `lo..hi` within one hugepage (`hi <= 256`).
+fn page_mask(lo: u64, hi: u64) -> [u64; MASK_WORDS] {
+    let mut mask = [0; MASK_WORDS];
+    for (w, word) in mask.iter_mut().enumerate() {
+        let (w_lo, w_hi) = (w as u64 * 64, w as u64 * 64 + 64);
+        let (a, b) = (lo.max(w_lo), hi.min(w_hi));
+        if a < b {
+            *word = (u64::MAX >> (64 - (b - a))) << (a - w_lo);
+        }
+    }
+    mask
+}
+
+/// Splits the TCMalloc-page range `first..last` into per-hugepage pieces:
+/// `(hugepage index, mask of the pages it covers there)`, ascending. An
+/// empty range has no pieces.
+fn hugepage_pieces(first: u64, last: u64) -> impl Iterator<Item = (u64, [u64; MASK_WORDS])> {
+    let hps = if first < last {
+        first / TCMALLOC_PAGES_PER_HUGE..last.div_ceil(TCMALLOC_PAGES_PER_HUGE)
+    } else {
+        0..0
+    };
+    hps.map(move |hp| {
+        let base = hp * TCMALLOC_PAGES_PER_HUGE;
+        let lo = first.max(base) - base;
+        let hi = last.min(base + TCMALLOC_PAGES_PER_HUGE) - base;
+        (hp, page_mask(lo, hi))
+    })
+}
+
 /// Tracks the backing (huge vs base pages, residency) of every mapped
-/// hugepage-sized region in a process.
+/// hugepage-sized region in a process, with O(1) aggregate queries (see
+/// the module's counter invariant).
 ///
 /// # Example
 ///
@@ -79,6 +143,12 @@ impl HugeState {
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
     regions: BTreeMap<u64, HugeState>,
+    /// Sum of every region's resident bytes.
+    resident_bytes: u64,
+    /// Regions with `huge` set.
+    huge_regions: u64,
+    /// Regions with `denied` set.
+    denied_regions: u64,
 }
 
 impl PageTable {
@@ -124,6 +194,12 @@ impl PageTable {
             };
             let prev = self.regions.insert(hp, state);
             assert!(prev.is_none(), "double mmap of hugepage {hp}");
+            self.resident_bytes += HUGE_PAGE_BYTES;
+            if huge {
+                self.huge_regions += 1;
+            } else {
+                self.denied_regions += 1;
+            }
         }
     }
 
@@ -134,16 +210,19 @@ impl PageTable {
     /// Panics on misaligned arguments or unmapping an absent region.
     pub fn on_munmap(&mut self, addr: u64, len: u64) {
         for hp in Self::for_each_hugepage(addr, len) {
-            assert!(
-                self.regions.remove(&hp).is_some(),
-                "munmap of unmapped hugepage {hp}"
-            );
+            let state = self
+                .regions
+                .remove(&hp)
+                .unwrap_or_else(|| panic!("munmap of unmapped hugepage {hp}"));
+            self.resident_bytes -= state.resident_bytes();
+            self.huge_regions -= u64::from(state.huge);
+            self.denied_regions -= u64::from(state.denied);
         }
     }
 
     /// `madvise(DONTNEED)` on a TCMalloc-page-granular sub-range: every
-    /// touched hugepage is split into base pages and the range becomes
-    /// non-resident.
+    /// touched hugepage is split into base pages (losing any denied-backing
+    /// eligibility for collapse) and the range becomes non-resident.
     ///
     /// # Errors
     ///
@@ -163,18 +242,23 @@ impl PageTable {
         let last = (addr + len) / TCMALLOC_PAGE_BYTES;
         // Validate the whole range before touching anything: EINVAL leaves
         // the page table exactly as it was.
-        for page in first..last {
-            let hp = page / TCMALLOC_PAGES_PER_HUGE;
-            if !self.regions.contains_key(&hp) {
-                return Err(OsError::UnmappedRange(hp));
-            }
+        if let Some((hp, _)) =
+            hugepage_pieces(first, last).find(|(hp, _)| !self.regions.contains_key(hp))
+        {
+            return Err(OsError::UnmappedRange(hp));
         }
-        for page in first..last {
-            let hp = page / TCMALLOC_PAGES_PER_HUGE;
+        for (hp, mask) in hugepage_pieces(first, last) {
             let state = self.regions.get_mut(&hp).expect("validated above");
+            self.huge_regions -= u64::from(state.huge);
+            self.denied_regions -= u64::from(state.denied);
             state.huge = false;
-            let bit = (page % TCMALLOC_PAGES_PER_HUGE) as usize;
-            state.released[bit / 64] |= 1 << (bit % 64);
+            state.denied = false;
+            let mut flipped = 0;
+            for (word, m) in state.released.iter_mut().zip(mask) {
+                flipped += (m & !*word).count_ones();
+                *word |= m;
+            }
+            self.resident_bytes -= u64::from(flipped) * TCMALLOC_PAGE_BYTES;
         }
         Ok(())
     }
@@ -182,15 +266,19 @@ impl PageTable {
     /// The application touches a previously-subreleased range again: the
     /// kernel faults base pages back in. The hugepage stays broken — the
     /// kernel does not transparently rebuild it, which is exactly the
-    /// "subrelease leads to performance degradation" effect of §3.
+    /// "subrelease leads to performance degradation" effect of §3. Pages
+    /// already resident and unmapped pages are left alone.
     pub fn reoccupy(&mut self, addr: u64, len: u64) {
         let first = addr / TCMALLOC_PAGE_BYTES;
         let last = (addr + len).div_ceil(TCMALLOC_PAGE_BYTES);
-        for page in first..last {
-            let hp = page / TCMALLOC_PAGES_PER_HUGE;
+        for (hp, mask) in hugepage_pieces(first, last) {
             if let Some(state) = self.regions.get_mut(&hp) {
-                let bit = (page % TCMALLOC_PAGES_PER_HUGE) as usize;
-                state.released[bit / 64] &= !(1 << (bit % 64));
+                let mut flipped = 0;
+                for (word, m) in state.released.iter_mut().zip(mask) {
+                    flipped += (m & *word).count_ones();
+                    *word &= !m;
+                }
+                self.resident_bytes += u64::from(flipped) * TCMALLOC_PAGE_BYTES;
             }
         }
     }
@@ -205,6 +293,8 @@ impl PageTable {
             Some(s) if s.denied && s.released_pages() == 0 => {
                 s.huge = true;
                 s.denied = false;
+                self.huge_regions += 1;
+                self.denied_regions -= 1;
                 true
             }
             _ => false,
@@ -212,7 +302,7 @@ impl PageTable {
     }
 
     /// Was the hugepage containing `addr` denied hugepage backing at `mmap`
-    /// time (and not yet collapsed back)?
+    /// time (and neither collapsed back nor broken by a subrelease since)?
     pub fn is_denied(&self, addr: u64) -> bool {
         self.regions
             .get(&(addr / HUGE_PAGE_BYTES))
@@ -228,7 +318,18 @@ impl PageTable {
 
     /// Number of mapped hugepage regions currently denied hugepage backing.
     pub fn denied_hugepages(&self) -> u64 {
-        self.regions.values().filter(|s| s.denied).count() as u64
+        self.denied_regions
+    }
+
+    /// Base addresses of the regions currently denied hugepage backing, in
+    /// ascending order. Walks the map; check [`denied_hugepages`] first.
+    ///
+    /// [`denied_hugepages`]: Self::denied_hugepages
+    pub fn denied_bases(&self) -> impl Iterator<Item = u64> + '_ {
+        self.regions
+            .iter()
+            .filter(|(_, s)| s.denied)
+            .map(|(&hp, _)| hp * HUGE_PAGE_BYTES)
     }
 
     /// Is the hugepage containing `addr` still backed by a real hugepage?
@@ -260,16 +361,12 @@ impl PageTable {
 
     /// Resident bytes (mapped minus subreleased).
     pub fn resident_bytes(&self) -> u64 {
-        self.regions.values().map(HugeState::resident_bytes).sum()
+        self.resident_bytes
     }
 
     /// Resident bytes backed by hugepages.
     pub fn huge_backed_bytes(&self) -> u64 {
-        self.regions
-            .values()
-            .filter(|s| s.huge)
-            .map(HugeState::resident_bytes)
-            .sum()
+        self.huge_regions * HUGE_PAGE_BYTES
     }
 
     /// Hugepage coverage: fraction of resident bytes backed by hugepages
@@ -292,6 +389,126 @@ mod tests {
 
     const HP: u64 = HUGE_PAGE_BYTES;
     const TP: u64 = TCMALLOC_PAGE_BYTES;
+
+    /// The pre-counter full scan, kept as the oracle: `(resident bytes,
+    /// huge-backed bytes, denied regions)` recounted from every region.
+    fn recount(pt: &PageTable) -> (u64, u64, u64) {
+        let resident = pt.regions.values().map(HugeState::resident_bytes).sum();
+        let huge = pt
+            .regions
+            .values()
+            .filter(|s| s.huge)
+            .map(HugeState::resident_bytes)
+            .sum();
+        let denied = pt.regions.values().filter(|s| s.denied).count() as u64;
+        (resident, huge, denied)
+    }
+
+    /// Asserts the O(1) counters equal the full scan.
+    fn assert_counters(pt: &PageTable) {
+        assert_eq!(
+            (
+                pt.resident_bytes(),
+                pt.huge_backed_bytes(),
+                pt.denied_hugepages()
+            ),
+            recount(pt)
+        );
+    }
+
+    #[test]
+    fn subreleasing_a_page_twice_decrements_once() {
+        let mut pt = PageTable::new();
+        pt.on_mmap(0, HP);
+        pt.subrelease(TP, TP).unwrap();
+        assert_eq!(pt.resident_bytes(), HP - TP);
+        pt.subrelease(TP, TP).unwrap();
+        assert_eq!(pt.resident_bytes(), HP - TP, "already released");
+        // An overlapping range only counts its new pages.
+        pt.subrelease(0, 3 * TP).unwrap();
+        assert_eq!(pt.resident_bytes(), HP - 3 * TP);
+        assert_counters(&pt);
+    }
+
+    #[test]
+    fn reoccupying_a_resident_page_does_not_increment() {
+        let mut pt = PageTable::new();
+        pt.on_mmap(0, HP);
+        pt.reoccupy(0, 4 * TP);
+        assert_eq!(pt.resident_bytes(), HP, "never released");
+        pt.subrelease(2 * TP, 2 * TP).unwrap();
+        pt.reoccupy(0, 8 * TP);
+        assert_eq!(pt.resident_bytes(), HP, "only the two released pages");
+        pt.reoccupy(0, 8 * TP);
+        assert_eq!(pt.resident_bytes(), HP);
+        // Unmapped pages are ignored.
+        pt.reoccupy(4 * HP, HP);
+        assert_eq!(pt.resident_bytes(), HP);
+        assert_counters(&pt);
+    }
+
+    #[test]
+    fn munmap_of_a_broken_region_subtracts_only_its_resident_part() {
+        let mut pt = PageTable::new();
+        pt.on_mmap(0, 2 * HP);
+        pt.subrelease(HP + 10 * TP, 100 * TP).unwrap();
+        assert_eq!(pt.resident_bytes(), 2 * HP - 100 * TP);
+        pt.on_munmap(HP, HP);
+        assert_eq!(pt.resident_bytes(), HP);
+        assert_eq!(pt.huge_backed_bytes(), HP);
+        assert_counters(&pt);
+    }
+
+    #[test]
+    fn promote_moves_one_region_from_denied_to_huge() {
+        let mut pt = PageTable::new();
+        pt.on_mmap_backed(0, 2 * HP, false);
+        assert_eq!(pt.denied_hugepages(), 2);
+        assert_eq!(pt.huge_backed_bytes(), 0);
+        assert!(pt.promote(HP));
+        assert_eq!(pt.denied_hugepages(), 1);
+        assert_eq!(pt.huge_backed_bytes(), HP);
+        assert_eq!(pt.resident_bytes(), 2 * HP);
+        assert!(!pt.promote(HP), "already huge");
+        assert_eq!(pt.denied_bases().collect::<Vec<_>>(), vec![0]);
+        assert_counters(&pt);
+    }
+
+    #[test]
+    fn subrelease_clears_denied_backing() {
+        let mut pt = PageTable::new();
+        pt.on_mmap_backed(0, HP, false);
+        pt.subrelease(0, TP).unwrap();
+        assert!(!pt.is_denied(0));
+        assert_eq!(pt.denied_hugepages(), 0);
+        pt.reoccupy(0, TP);
+        assert!(pt.is_fully_resident(0));
+        assert!(!pt.promote(0), "subrelease-broken hugepages never promote");
+        assert_counters(&pt);
+    }
+
+    #[test]
+    fn rejected_and_empty_subreleases_change_nothing() {
+        let mut pt = PageTable::new();
+        pt.on_mmap(0, HP);
+        assert_eq!(
+            pt.subrelease(HP - TP, 2 * TP),
+            Err(OsError::UnmappedRange(1))
+        );
+        pt.subrelease(5 * TP, 0).unwrap();
+        assert!(pt.is_huge_backed(0));
+        assert_eq!(pt.resident_bytes(), HP);
+        assert_counters(&pt);
+    }
+
+    #[test]
+    fn page_mask_covers_word_boundaries() {
+        assert_eq!(page_mask(0, 256), [u64::MAX; MASK_WORDS]);
+        assert_eq!(page_mask(63, 65), [1 << 63, 1, 0, 0]);
+        assert_eq!(page_mask(64, 128), [0, u64::MAX, 0, 0]);
+        assert_eq!(page_mask(255, 256), [0, 0, 0, 1 << 63]);
+        assert_eq!(page_mask(7, 7), [0; MASK_WORDS]);
+    }
 
     #[test]
     fn mmap_is_huge_backed() {

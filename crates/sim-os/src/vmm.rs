@@ -357,4 +357,30 @@ mod tests {
         );
         assert!(!vmm.page_table().is_huge_backed(a));
     }
+
+    #[test]
+    fn denied_then_subreleased_hugepage_never_collapses() {
+        let plan = FaultPlan {
+            deny_huge_ppm: PPM,
+            ..FaultPlan::off()
+        };
+        let mut vmm = Vmm::with_faults(plan, Clock::new());
+        let g = vmm.mmap(HUGE_PAGE_BYTES).expect("granted");
+        assert!(!g.huge_backed, "THP compaction failed");
+        assert_eq!(vmm.page_table().denied_hugepages(), 1);
+        vmm.subrelease(g.addr, 8192).expect("mapped");
+        assert_eq!(
+            vmm.page_table().denied_hugepages(),
+            0,
+            "a broken hugepage is no longer awaiting collapse"
+        );
+        vmm.reoccupy(g.addr, 8192);
+        assert!(vmm.page_table().is_fully_resident(g.addr));
+        assert!(
+            !vmm.collapse_huge(g.addr),
+            "kernel does not rebuild subrelease-broken hugepages (§3)"
+        );
+        assert!(!vmm.page_table().is_huge_backed(g.addr));
+        assert_eq!(vmm.page_table().hugepage_coverage(), 0.0);
+    }
 }
