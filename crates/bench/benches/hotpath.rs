@@ -27,6 +27,10 @@
 //!   minimum ratio across interleaved rounds)               <= 3.0
 //! - cycle ledgers byte-identical across all end-to-end arms (hard assert)
 //!
+//! `mixed_churn_batched_mops` runs the maintain-per-op churn loop on the
+//! batched arm and is reported ungated: the pair loop above has no drain
+//! points, so the two shapes can rank the emission modes differently.
+//!
 //! The combined-vs-radix-arm walk ratio is also reported (`ungated`): on
 //! uniform random streams both arms are cache-miss bound and land within
 //! ~±15% of each other; the masking arm's win is on the classification
@@ -301,9 +305,10 @@ fn run_pairs(tcm: &mut Tcmalloc, sizes: &[u64]) -> f64 {
 }
 
 /// Mixed churn: a live set with seeded alloc/free interleaving, the shape
-/// the simulator's inner loop actually runs. Decisions and sizes are
+/// the simulator's inner loop actually runs (one `maintain()` per op, as
+/// `Trace::replay` does after every time advance). Decisions and sizes are
 /// precomputed — only the allocator runs inside the timing window.
-fn churn_mops(ops: u64) -> f64 {
+fn churn_mops(ops: u64, cfg: TcmallocConfig) -> f64 {
     let spec = profiles::fleet_mix();
     let mut rng = SmallRng::seed_from_u64(0xC4);
     let decisions: Vec<(f64, u64, u64)> = (0..ops)
@@ -316,7 +321,7 @@ fn churn_mops(ops: u64) -> f64 {
         .collect();
     let clock = Clock::new();
     let platform = Platform::chiplet("bench", 1, 2, 4, 2);
-    let mut tcm = Tcmalloc::new(TcmallocConfig::optimized(), platform, clock.clone());
+    let mut tcm = Tcmalloc::new(cfg, platform, clock.clone());
     let mut live: Vec<(u64, u64)> = Vec::new();
     let t = Instant::now();
     for (i, &(choice, victim, size)) in decisions.iter().enumerate() {
@@ -559,8 +564,15 @@ fn main() {
     let fast_mops = 2.0 * 1e3 / arms[0].best_ns_per_pair;
     let masking_fast_mops = 2.0 * 1e3 / arms[1].best_ns_per_pair;
     let combined_fast_mops = 2.0 * 1e3 / arms[2].best_ns_per_pair;
-    let churn = churn_mops(alloc_ops);
+    let churn = churn_mops(alloc_ops, TcmallocConfig::optimized());
     println!("mixed churn          {churn:>8.2} Mops/s");
+    // The same maintain-per-op shape on the batched arm, reported ungated:
+    // every maintain() is a drain point, so this row prices the flush.
+    let churn_batched = churn_mops(
+        alloc_ops,
+        TcmallocConfig::optimized().with_batched_fastpath_events(true),
+    );
+    println!("mixed churn batched  {churn_batched:>8.2} Mops/s  (ungated)");
 
     let mut report = JsonReport::new();
     report
@@ -589,7 +601,8 @@ fn main() {
         .num("combined_fast_path_mops", combined_fast_mops)
         .num("batched_event_overhead_pct", batched_event_overhead_pct)
         .flag("cycles_identical", cycles_identical)
-        .num("mixed_churn_mops", churn);
+        .num("mixed_churn_mops", churn)
+        .num("mixed_churn_batched_mops", churn_batched);
     report
         .write(OUT_PATH)
         .unwrap_or_else(|e| panic!("writing {OUT_PATH}: {e}"));

@@ -46,11 +46,57 @@ use std::ops::{Range, RangeInclusive};
 /// mixing.
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(GAMMA);
-    let mut z = *state;
+    mix64(*state)
+}
+
+/// The SplitMix64 output finalizer: a bijective avalanche mix of 64 bits.
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
+
+/// A fast, deterministic [`Hasher`](std::hash::Hasher) for integer keys
+/// such as object ids: the SplitMix64 finalizer over each written word.
+///
+/// Much cheaper than the std `HashMap`'s SipHash, and — unlike a bare
+/// multiplicative hash — it mixes high input bits into the low bits a
+/// hash table takes its bucket index from, so strided keys (`i << 20`)
+/// spread across buckets. Not DoS-resistant: a key set crafted to collide
+/// degrades lookups to linear scans, so keep the std hasher for keys an
+/// adversary chooses.
+///
+/// ```
+/// use std::collections::HashMap;
+/// use wsc_prng::IdBuildHasher;
+///
+/// let mut live: HashMap<u64, u64, IdBuildHasher> = HashMap::default();
+/// live.insert(7 << 20, 64);
+/// assert_eq!(live.get(&(7 << 20)), Some(&64));
+/// ```
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = mix64(self.0 ^ n);
+    }
+}
+
+/// Builds [`IdHasher`]s: the `S` parameter of an id-keyed `HashMap`.
+pub type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
 
 /// SplitMix64 increment (Weyl constant). Odd, so `master + i * GAMMA` is
 /// injective in `i`: distinct streams never collide on the same state.
@@ -313,6 +359,31 @@ float_range_impls!(f32, f64);
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_hasher_spreads_strided_ids_over_low_bits() {
+        use std::hash::{BuildHasher, Hasher};
+        for k in [0u32, 12, 20, 32] {
+            let mut low = std::collections::BTreeSet::new();
+            for i in 0..4096u64 {
+                let mut h = IdBuildHasher::default().build_hasher();
+                h.write_u64(i << k);
+                low.insert(h.finish() & 0xFFFF);
+            }
+            assert!(low.len() >= 3800, "stride 1<<{k}: {} distinct", low.len());
+        }
+    }
+
+    #[test]
+    fn id_hasher_byte_writes_hash_like_words() {
+        use std::hash::Hasher;
+        let mut a = IdHasher::default();
+        a.write(&0x1234_5678_u64.to_le_bytes());
+        let mut b = IdHasher::default();
+        b.write_u64(0x1234_5678);
+        assert_eq!(a.finish(), b.finish());
+        assert_ne!(a.finish(), IdHasher::default().finish());
+    }
 
     #[test]
     fn splitmix_reference_values() {

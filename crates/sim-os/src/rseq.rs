@@ -8,9 +8,11 @@
 //! virtual CPUs always expose IDs 0 and 1, irrespective of which physical
 //! cores the application threads are scheduled on."
 //!
-//! [`VcpuRegistry`] implements that assignment discipline.
+//! [`VcpuRegistry`] implements that assignment discipline as a dense table
+//! indexed by physical CPU id: the lookup on every malloc and free is one
+//! indexed load, and the table grows to the highest CPU id seen (physical
+//! ids are bounded by the platform's CPU count).
 
-use std::collections::HashMap;
 use wsc_sim_hw::topology::CpuId;
 
 /// A dense virtual CPU identifier, private to one process.
@@ -49,8 +51,10 @@ impl std::fmt::Display for VcpuId {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct VcpuRegistry {
-    // lint:allow(hashmap-decl) keyed by CpuId; never iterated
-    map: HashMap<CpuId, VcpuId>,
+    /// `slots[cpu]` is the vCPU assigned to physical CPU `cpu`, if any.
+    slots: Vec<Option<VcpuId>>,
+    /// vCPUs assigned so far; the next assignment's id.
+    assigned: u32,
 }
 
 impl VcpuRegistry {
@@ -62,19 +66,27 @@ impl VcpuRegistry {
     /// Returns the vCPU ID for a physical CPU, assigning the next dense ID
     /// on first use.
     pub fn vcpu_of(&mut self, cpu: CpuId) -> VcpuId {
-        let next = VcpuId(self.map.len() as u32);
-        *self.map.entry(cpu).or_insert(next)
+        let i = cpu.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        let assigned = &mut self.assigned;
+        *self.slots[i].get_or_insert_with(|| {
+            let id = VcpuId(*assigned);
+            *assigned += 1;
+            id
+        })
     }
 
     /// The vCPU ID for a physical CPU, if already assigned.
     pub fn get(&self, cpu: CpuId) -> Option<VcpuId> {
-        self.map.get(&cpu).copied()
+        self.slots.get(cpu.index()).copied().flatten()
     }
 
     /// Number of vCPUs assigned so far (= number of distinct physical CPUs
     /// the process has run on).
     pub fn num_vcpus(&self) -> usize {
-        self.map.len()
+        self.assigned as usize
     }
 }
 
@@ -110,6 +122,22 @@ mod tests {
         assert_eq!(reg.get(CpuId(1)), None);
         reg.vcpu_of(CpuId(1));
         assert_eq!(reg.get(CpuId(1)), Some(VcpuId(0)));
+    }
+
+    #[test]
+    fn sparse_large_first_id_gets_vcpu_0() {
+        let mut reg = VcpuRegistry::new();
+        assert_eq!(reg.num_vcpus(), 0);
+        assert_eq!(reg.vcpu_of(CpuId(255)), VcpuId(0));
+        assert_eq!(reg.num_vcpus(), 1);
+        // Lower ids the table already covers are still unassigned.
+        assert_eq!(reg.get(CpuId(0)), None);
+        assert_eq!(reg.get(CpuId(254)), None);
+        assert_eq!(reg.get(CpuId(256)), None, "beyond the table");
+        assert_eq!(reg.vcpu_of(CpuId(4)), VcpuId(1));
+        assert_eq!(reg.vcpu_of(CpuId(255)), VcpuId(0));
+        assert_eq!(reg.get(CpuId(4)), Some(VcpuId(1)));
+        assert_eq!(reg.num_vcpus(), 2);
     }
 
     #[test]

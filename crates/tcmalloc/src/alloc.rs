@@ -18,6 +18,7 @@ use crate::span::{Span, SpanRegistry, SpanState};
 use crate::stats::{CycleStats, FragmentationBreakdown};
 use crate::transfer::{TransferCaches, TransferSharding};
 use std::collections::HashMap;
+use wsc_prng::IdBuildHasher;
 use wsc_sanitizer::{
     ClassTierSnapshot, HugepageSnapshot, PagemapLeafSnapshot, SanitizerReport, Snapshot,
     SpanPlacement, SpanSnapshot,
@@ -98,6 +99,9 @@ pub struct Tcmalloc {
     platform: Platform,
     clock: Clock,
     vcpus: VcpuRegistry,
+    /// Transfer-cache shard of each platform CPU under the configured
+    /// sharding mode, indexed by CPU id.
+    cpu_shard: Vec<usize>,
     percpu: PerCpuCaches,
     transfer: TransferCaches,
     central: Vec<CentralFreeList>,
@@ -107,8 +111,10 @@ pub struct Tcmalloc {
     sampler: Sampler,
     deferred: DeferredFrees,
     bus: EventBus,
-    // lint:allow(hashmap-decl) keyed by sampled address; never iterated
-    live_samples: HashMap<u64, (u64, u64, f64)>,
+    // lint:allow(hashmap-decl) keyed by sampled address; never iterated.
+    // Probed on every free while any sample is live, so it hashes with the
+    // cheap IdHasher rather than SipHash.
+    live_samples: HashMap<u64, (u64, u64, f64), IdBuildHasher>,
     live_requested_bytes: u64,
     live_objects: u64,
     internal_frag_bytes: u64,
@@ -137,6 +143,14 @@ impl Tcmalloc {
             .os_faults
             // lint:allow(infallible-os)
             .map_or_else(Vmm::new, |p| Vmm::with_faults(p, clock.clone()));
+        let cpu_shard = platform
+            .cpus()
+            .map(|cpu| match cfg.transfer.sharding {
+                TransferSharding::Central => 0,
+                TransferSharding::Domain => platform.domain_of(cpu).index(),
+                TransferSharding::Node => platform.node_of(cpu).index(),
+            })
+            .collect();
         Self {
             percpu,
             transfer,
@@ -147,7 +161,7 @@ impl Tcmalloc {
             sampler: Sampler::new(cfg.sample_period_bytes),
             deferred: DeferredFrees::new(cfg.free_arm, table.num_classes()),
             bus: EventBus::new(&cfg, CostModel::production(), clock.clone()),
-            live_samples: HashMap::new(),
+            live_samples: HashMap::default(),
             live_requested_bytes: 0,
             live_objects: 0,
             internal_frag_bytes: 0,
@@ -159,6 +173,7 @@ impl Tcmalloc {
             platform,
             clock,
             vcpus: VcpuRegistry::new(),
+            cpu_shard,
             cfg,
         }
     }
@@ -222,7 +237,8 @@ impl Tcmalloc {
         cpu: CpuId,
         site: u64,
     ) -> Result<AllocOutcome, AllocError> {
-        let (addr, actual, path) = match self.table.class_for(size) {
+        let small_class = self.table.class_for(size);
+        let (addr, actual, path) = match small_class {
             Some(cl) => self.malloc_small(cl, cpu)?,
             None => self.malloc_large(size)?,
         };
@@ -248,7 +264,7 @@ impl Tcmalloc {
         // Shadow payload: populated only when sanitizing, so the fast path
         // never pays the pagemap lookup.
         let (class, span) = if self.cfg.sanitize.is_on() {
-            let class = self.table.class_for(size).map(|cl| cl as u16);
+            let class = small_class.map(|cl| cl as u16);
             let span = self.pagemap.span_of(addr).map(|id| {
                 let s = self.spans.get(id);
                 SpanRef {
@@ -286,17 +302,19 @@ impl Tcmalloc {
     }
 
     /// The transfer-cache shard for a CPU under the active sharding mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu` is not a CPU of the platform.
     fn shard_of(&self, cpu: CpuId) -> usize {
-        match self.cfg.transfer.sharding {
-            TransferSharding::Central => 0,
-            TransferSharding::Domain => self.platform.domain_of(cpu).index(),
-            TransferSharding::Node => self.platform.node_of(cpu).index(),
-        }
+        // lint:allow(panic-surface) cpu_shard holds one entry per platform
+        // CPU; an out-of-range CPU is a caller bug and panics here.
+        self.cpu_shard[cpu.index()]
     }
 
     fn malloc_small(&mut self, cl: usize, cpu: CpuId) -> Result<(u64, u64, AllocPath), AllocError> {
-        let vcpu = self.vcpus.vcpu_of(cpu);
         let shard = self.shard_of(cpu);
+        let vcpu = self.vcpus.vcpu_of(cpu);
         let info = *self.table.info(cl);
         if let Some(addr) = self.percpu.alloc(vcpu, cl, &mut self.bus) {
             return Ok((addr, info.size, AllocPath::PerCpu));
@@ -399,8 +417,9 @@ impl Tcmalloc {
         size: u64,
         cpu: CpuId,
     ) -> Result<FreeOutcomeInfo, FreeError> {
+        let small_class = self.table.class_for(size);
         if self.cfg.sanitize.is_on() {
-            let expected = self.table.class_for(size).map(|cl| cl as u16);
+            let expected = small_class.map(|cl| cl as u16);
             if self
                 .bus
                 .sanitizer_mut()
@@ -414,7 +433,7 @@ impl Tcmalloc {
                 });
             }
         }
-        if self.table.class_for(size).is_none() {
+        if small_class.is_none() {
             // Validate before any mutation so an invalid large free is a
             // clean no-op at the Err return. (With the sanitizer on the
             // shadow check above already rejected and reported it.)
@@ -438,7 +457,7 @@ impl Tcmalloc {
                 });
             }
         }
-        let (actual, path) = match self.table.class_for(size) {
+        let (actual, path) = match small_class {
             Some(cl) => {
                 debug_assert_eq!(
                     self.pagemap
@@ -447,8 +466,8 @@ impl Tcmalloc {
                     Some(Some(cl as u16)),
                     "free size does not match the allocation's class"
                 );
-                let vcpu = self.vcpus.vcpu_of(cpu);
                 let shard = self.shard_of(cpu);
+                let vcpu = self.vcpus.vcpu_of(cpu);
                 let info = *self.table.info(cl);
                 // Ownership check: a free issued against a span another
                 // vCPU refilled from is routed through the deferred-free
@@ -1030,6 +1049,20 @@ mod tests {
         let b = t.malloc(1 << 20, CpuId(0));
         assert_eq!(b.path, AllocPath::PageHeap);
         t.free(b.addr, 1 << 20, CpuId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn out_of_range_cpu_panics_under_domain_sharding() {
+        let mut t = alloc(TcmallocConfig::optimized());
+        t.malloc(64, CpuId(16));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn out_of_range_cpu_panics_under_central_sharding() {
+        let mut t = alloc(TcmallocConfig::baseline());
+        t.malloc(64, CpuId(16));
     }
 
     #[test]

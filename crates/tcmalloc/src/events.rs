@@ -886,11 +886,14 @@ impl EventSink for TraceRing {
 /// per-op event fan-out off the per-CPU hit path.
 #[derive(Clone, Debug, Default)]
 struct FastPathBatcher {
-    /// `hits[vcpu][class]`, grown on demand and drained in `(vcpu, class)`
-    /// order so the flushed aggregate stream is deterministic.
+    /// `hits[vcpu][class]`, grown on demand. Only the cells listed in
+    /// `dirty` are nonzero.
     hits: Vec<Vec<u64>>,
-    /// Total pending hit count (fast emptiness check).
-    pending_hits: u64,
+    /// The `(vcpu, class)` cells hit since the last flush, each listed
+    /// once. Sorted at flush time so the aggregates drain in `(vcpu,
+    /// class)` order — the stream a full table scan would produce — in
+    /// time proportional to the cells touched, not the table size.
+    dirty: Vec<(usize, u16)>,
     /// Pending unsampled per-CPU-path `MallocDone`s.
     mallocs: u64,
     /// How many of `mallocs` issued the next-object prefetch.
@@ -909,12 +912,14 @@ impl FastPathBatcher {
         if row.len() <= c {
             row.resize(c + 1, 0);
         }
+        if row[c] == 0 {
+            self.dirty.push((vcpu, class));
+        }
         row[c] += 1;
-        self.pending_hits += 1;
     }
 
     fn has_pending(&self) -> bool {
-        self.pending_hits > 0 || self.mallocs > 0 || self.frees > 0
+        !self.dirty.is_empty() || self.mallocs > 0 || self.frees > 0
     }
 }
 
@@ -993,54 +998,49 @@ impl EventBus {
     /// followed by one [`AllocEvent::FastPathFlush`]. No-op when batching
     /// is disengaged or nothing is pending.
     pub fn flush_fastpath(&mut self) {
-        let Some(b) = &mut self.batch else {
+        // Moved out for the flush so the dispatches below can borrow the
+        // bus; handed back afterwards with its zeroed table.
+        let Some(mut b) = self.batch.take_if(|b| b.has_pending()) else {
             return;
         };
-        if !b.has_pending() {
-            return;
+        b.dirty.sort_unstable();
+        for &(vcpu, class) in &b.dirty {
+            let c = usize::from(class);
+            let count = std::mem::take(&mut b.hits[vcpu][c]);
+            self.dispatch(AllocEvent::PerCpuHitBatch { vcpu, class, count });
         }
-        let mut hits = std::mem::take(&mut b.hits);
-        let (mallocs, prefetched, frees) = (b.mallocs, b.prefetched, b.frees);
-        b.pending_hits = 0;
+        b.dirty.clear();
+        if b.mallocs > 0 || b.frees > 0 {
+            self.dispatch(AllocEvent::FastPathFlush {
+                mallocs: b.mallocs,
+                prefetched: b.prefetched,
+                frees: b.frees,
+            });
+        }
         b.mallocs = 0;
         b.prefetched = 0;
         b.frees = 0;
-        for (vcpu, row) in hits.iter().enumerate() {
-            for (class, &count) in row.iter().enumerate() {
-                if count > 0 {
-                    self.dispatch(AllocEvent::PerCpuHitBatch {
-                        vcpu,
-                        class: class as u16,
-                        count,
-                    });
-                }
-            }
-        }
-        if mallocs > 0 || frees > 0 {
-            self.dispatch(AllocEvent::FastPathFlush {
-                mallocs,
-                prefetched,
-                frees,
-            });
-        }
-        // Hand the zeroed table back so row capacity is reused next round.
-        if let Some(b) = &mut self.batch {
-            for row in &mut hits {
-                row.fill(0);
-            }
-            b.hits = hits;
-        }
+        self.batch = Some(b);
     }
 
     /// Records one per-CPU fast-path hit: counted for the next drain-point
     /// flush while batching is engaged, otherwise an immediate
     /// [`AllocEvent::PerCpuHit`] emission.
+    ///
+    /// Per-op `PerCpuHit` goes only to raw sinks (trace ring, recorder,
+    /// attached sinks): neither the stats view nor the sanitizer reads that
+    /// kind, so with no raw sink the event is not built at all.
     pub fn percpu_hit(&mut self, vcpu: usize, class: u16) {
         if let Some(b) = &mut self.batch {
             b.record_hit(vcpu, class);
-        } else {
+        } else if self.has_raw_sink() {
             self.emit(AllocEvent::PerCpuHit { vcpu, class });
         }
+    }
+
+    /// Whether any consumer that sees every event kind is present.
+    fn has_raw_sink(&self) -> bool {
+        self.trace.is_some() || self.recorder.is_some() || !self.extra.is_empty()
     }
 
     /// The raw fan-out, without the flush-first preamble.
@@ -1536,6 +1536,85 @@ mod tests {
         // The pre-attach hit flushed as an aggregate; afterwards the stream
         // is per-op again.
         assert_eq!(kinds, ["PerCpuHitBatch", "PerCpuHit"]);
+    }
+
+    #[test]
+    fn percpu_hits_reach_raw_sinks_only() {
+        // Without a raw sink the per-op hit is never dispatched; the
+        // views every observer reads must not notice.
+        let mut quiet = bus(TcmallocConfig::optimized());
+        let mut recorded = bus(TcmallocConfig::optimized().with_event_recorder());
+        let pick = AllocEvent::SamplerPick {
+            addr: 0x1000,
+            size: 24,
+            site: 7,
+            now_ns: 0,
+            weight: 1.0,
+        };
+        for b in [&mut quiet, &mut recorded] {
+            for i in 0..50u64 {
+                b.percpu_hit((i % 3) as usize, (i % 5) as u16);
+                let sampled = i % 10 == 0;
+                b.malloc_done(sampled.then_some(pick), done(i % 2 == 0, sampled));
+                b.free_done(AllocEvent::FreeDone {
+                    path: AllocPath::PerCpu,
+                    addr: 0x1000 + i,
+                    size: 24,
+                });
+            }
+        }
+        assert_eq!(quiet.cycles(), recorded.cycles());
+        assert_eq!(
+            format!("{:?}", quiet.profile()),
+            format!("{:?}", recorded.profile())
+        );
+        let hits: Vec<_> = recorded
+            .recorded()
+            .iter()
+            .filter(|e| e.kind() == "PerCpuHit")
+            .collect();
+        assert_eq!(hits.len(), 50, "one PerCpuHit per hit");
+        assert_eq!(*hits[7], AllocEvent::PerCpuHit { vcpu: 1, class: 2 });
+    }
+
+    #[test]
+    fn batched_flush_matches_a_full_table_scan() {
+        let cfg = TcmallocConfig::optimized()
+            .with_event_recorder()
+            .with_batched_fastpath_events(true);
+        let mut b = bus(cfg);
+        let mut rng = wsc_prng::SmallRng::seed_from_u64(0xF1);
+        for _round in 0..20 {
+            let mut table = vec![vec![0u64; 90]; 12];
+            for _ in 0..rng.gen_range(1..200u64) {
+                let vcpu = rng.gen_range(0..12u64) as usize;
+                let class = rng.gen_range(0..90u64) as usize;
+                table[vcpu][class] += 1;
+                b.percpu_hit(vcpu, class as u16);
+            }
+            // The order the retired implementation drained in: every cell
+            // of the table, row-major.
+            let mut want = Vec::new();
+            for (vcpu, row) in table.iter().enumerate() {
+                for (class, &count) in row.iter().enumerate() {
+                    if count > 0 {
+                        want.push(AllocEvent::PerCpuHitBatch {
+                            vcpu,
+                            class: class as u16,
+                            count,
+                        });
+                    }
+                }
+            }
+            let before = b.recorded().len();
+            b.flush_fastpath();
+            assert_eq!(&b.recorded()[before..], &want[..]);
+        }
+        b.flush_fastpath();
+        assert!(b.recorded().len() > 20, "hits were flushed");
+        let len = b.recorded().len();
+        b.flush_fastpath();
+        assert_eq!(b.recorded().len(), len, "an empty flush emits nothing");
     }
 
     #[test]

@@ -98,13 +98,21 @@ impl PerCpuCaches {
     }
 
     fn slab_mut(&mut self, vcpu: VcpuId) -> &mut CpuSlab {
+        self.slab_and_sizes(vcpu).0
+    }
+
+    /// The vCPU's slab (populated on first use) alongside the size table —
+    /// a split borrow, so the per-class loops index sizes without copying
+    /// the table.
+    fn slab_and_sizes(&mut self, vcpu: VcpuId) -> (&mut CpuSlab, &[u64]) {
         let idx = vcpu.index();
         if idx >= self.slabs.len() {
             self.slabs.resize_with(idx + 1, || None);
         }
         let num_classes = self.sizes.len();
         let max = self.default_max_bytes;
-        self.slabs[idx].get_or_insert_with(|| CpuSlab::new(num_classes, max))
+        let slab = self.slabs[idx].get_or_insert_with(|| CpuSlab::new(num_classes, max));
+        (slab, &self.sizes)
     }
 
     /// Fast-path allocation: pops a cached object, or records an underflow
@@ -143,8 +151,7 @@ impl PerCpuCaches {
         let batch = self.batches[class] as u64;
         let need = batch * size;
         let cap = self.class_caps[class];
-        let sizes = self.sizes.clone();
-        let slab = self.slab_mut(vcpu);
+        let (slab, sizes) = self.slab_and_sizes(vcpu);
         if slab.classes[class].capacity + batch as u32 > cap {
             return false;
         }
@@ -265,8 +272,7 @@ impl PerCpuCaches {
     // ResizerSteal/ResizerShrink with the outcome; emitting here too would
     // double-count the eviction.
     pub fn set_max_bytes(&mut self, vcpu: VcpuId, bytes: u64) -> Vec<(usize, Vec<u64>)> {
-        let sizes = self.sizes.clone();
-        let slab = self.slab_mut(vcpu);
+        let (slab, sizes) = self.slab_and_sizes(vcpu);
         slab.max_bytes = bytes;
         let mut evicted = Vec::new();
         // Shrink larger size classes first (§4.1).

@@ -100,6 +100,12 @@ impl From<AllocPath> for CycleCategory {
     }
 }
 
+/// Converts a cost-model price in nanoseconds to the integer picoseconds
+/// the [`CycleStats`] ledger stores.
+fn ns_to_ps(ns: f64) -> u64 {
+    (ns * 1000.0).round() as u64
+}
+
 /// Time and operation counts per category.
 ///
 /// Accumulation is **order-independent**: time is stored as integer
@@ -120,25 +126,24 @@ impl CycleStats {
 
     /// Charges `ns` to a category (stored with picosecond resolution).
     pub fn charge(&mut self, cat: CycleCategory, ns: f64) {
-        // lint:allow(panic-surface) cat.index() enumerates CycleCategory,
-        // and both arrays are sized CycleCategory::COUNT.
-        self.ps[cat.index()] += (ns * 1000.0).round() as u64;
-        // lint:allow(panic-surface) same enum-sized bound as the line above.
-        self.ops[cat.index()] += 1;
+        self.charge_ps(cat, ns_to_ps(ns));
     }
 
-    /// Charges `n` operations of `ns` nanoseconds each in one step —
-    /// exactly equivalent to `n` [`charge`](Self::charge) calls, because
-    /// the ledger is integral picoseconds: `n * round(ns * 1000)` is the
-    /// same total the per-op path accumulates. This is how batched
+    /// Charges `ps` picoseconds to a category: the integer-add form of
+    /// [`charge`](Self::charge) for prices already converted with
+    /// [`ns_to_ps`]. The per-operation charges of [`StatsView`] land here.
+    pub(crate) fn charge_ps(&mut self, cat: CycleCategory, ps: u64) {
+        self.charge_ps_n(cat, ps, 1);
+    }
+
+    /// Charges `n` operations of `ps` picoseconds each in one step —
+    /// exactly equivalent to `n` [`charge_ps`](Self::charge_ps) calls,
+    /// because the ledger is integral picoseconds. This is how batched
     /// fast-path aggregates land without drifting from per-op pricing.
-    pub fn charge_n(&mut self, cat: CycleCategory, ns: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
+    pub(crate) fn charge_ps_n(&mut self, cat: CycleCategory, ps: u64, n: u64) {
         // lint:allow(panic-surface) cat.index() enumerates CycleCategory,
         // and both arrays are sized CycleCategory::COUNT.
-        self.ps[cat.index()] += n * (ns * 1000.0).round() as u64;
+        self.ps[cat.index()] += n * ps;
         // lint:allow(panic-surface) same enum-sized bound as the line above.
         self.ops[cat.index()] += n;
     }
@@ -184,13 +189,22 @@ impl CycleStats {
 /// cycle breakdown and the GWP allocation profile from the event stream.
 ///
 /// Charging lives here, *at emission*: `MallocDone` / `FreeDone` carry the
-/// satisfying tier and the per-op flags, and the view prices them against
-/// its own copy of the [`CostModel`] in the exact component order the bus
-/// used to price the operation — so the `ns` the allocator returned and the
-/// cycles attributed here are identical by construction.
+/// satisfying tier and the per-op flags, and the view prices them with the
+/// same cost-model components the bus used to price the operation — so the
+/// `ns` the allocator returned and the cycles attributed here are identical
+/// by construction.
+///
+/// The fixed per-operation prices (each [`AllocPath`], prefetch, other,
+/// sampled) are converted to integer picoseconds once, at construction, so
+/// a completion is charged with integer adds and no float rounding.
 #[derive(Clone, Debug)]
 pub struct StatsView {
-    cost: CostModel,
+    /// Picosecond price of each [`AllocPath`], indexed by discriminant
+    /// (the [`AllocPath::ALL`] order).
+    path_ps: [u64; AllocPath::ALL.len()],
+    prefetch_ps: u64,
+    other_ps: u64,
+    sampled_ps: u64,
     cycles: CycleStats,
     profile: AllocationProfile,
 }
@@ -199,7 +213,10 @@ impl StatsView {
     /// A zeroed view pricing against `cost`.
     pub fn new(cost: CostModel) -> Self {
         Self {
-            cost,
+            path_ps: AllocPath::ALL.map(|p| ns_to_ps(cost.alloc_path_ns(p))),
+            prefetch_ps: ns_to_ps(cost.prefetch_ns),
+            other_ps: ns_to_ps(cost.other_ns),
+            sampled_ps: ns_to_ps(cost.sampled_alloc_ns),
             cycles: CycleStats::new(),
             profile: AllocationProfile::new(),
         }
@@ -226,21 +243,21 @@ impl EventSink for StatsView {
                 ..
             } => {
                 self.cycles
-                    .charge(path.into(), self.cost.alloc_path_ns(path));
+                    .charge_ps(path.into(), self.path_ps[path as usize]);
                 if prefetched {
                     self.cycles
-                        .charge(CycleCategory::Prefetch, self.cost.prefetch_ns);
+                        .charge_ps(CycleCategory::Prefetch, self.prefetch_ps);
                 }
-                self.cycles.charge(CycleCategory::Other, self.cost.other_ns);
+                self.cycles.charge_ps(CycleCategory::Other, self.other_ps);
                 if sampled {
                     self.cycles
-                        .charge(CycleCategory::Sampled, self.cost.sampled_alloc_ns);
+                        .charge_ps(CycleCategory::Sampled, self.sampled_ps);
                 }
             }
             AllocEvent::FreeDone { path, .. } => {
                 self.cycles
-                    .charge(path.into(), self.cost.alloc_path_ns(path));
-                self.cycles.charge(CycleCategory::Other, self.cost.other_ns);
+                    .charge_ps(path.into(), self.path_ps[path as usize]);
+                self.cycles.charge_ps(CycleCategory::Other, self.other_ps);
             }
             AllocEvent::ContentionCharged { ns, .. } => {
                 self.cycles.charge(CycleCategory::Contention, ns);
@@ -253,15 +270,15 @@ impl EventSink for StatsView {
                 // The drain-point aggregate of unsampled per-CPU-path
                 // completions: charge the identical components the per-op
                 // arms above would have, `mallocs + frees` times.
-                self.cycles.charge_n(
+                self.cycles.charge_ps_n(
                     CycleCategory::CpuCache,
-                    self.cost.alloc_path_ns(AllocPath::PerCpu),
+                    self.path_ps[AllocPath::PerCpu as usize],
                     mallocs + frees,
                 );
                 self.cycles
-                    .charge_n(CycleCategory::Prefetch, self.cost.prefetch_ns, prefetched);
+                    .charge_ps_n(CycleCategory::Prefetch, self.prefetch_ps, prefetched);
                 self.cycles
-                    .charge_n(CycleCategory::Other, self.cost.other_ns, mallocs + frees);
+                    .charge_ps_n(CycleCategory::Other, self.other_ps, mallocs + frees);
             }
             AllocEvent::OsFault { latency_ns, .. } if latency_ns > 0 => {
                 // Injected kernel latency (THP compaction stall, flaky
@@ -534,6 +551,71 @@ mod tests {
         assert_eq!(v.cycles().ns(CycleCategory::Contention), 55.0);
         assert_eq!(v.cycles().ops(CycleCategory::Contention), 2);
         assert_eq!(v.cycles().ns(CycleCategory::Other), 0.0);
+    }
+
+    #[test]
+    fn alloc_path_discriminants_follow_all_order() {
+        // StatsView indexes its price table by `path as usize`.
+        for (i, p) in AllocPath::ALL.iter().enumerate() {
+            assert_eq!(*p as usize, i, "{p:?}");
+        }
+    }
+
+    /// Prices precomputed as integer picoseconds charge the same ledger as
+    /// rounding every charge, including prices that are not whole
+    /// picoseconds.
+    #[test]
+    fn precomputed_picosecond_prices_match_per_charge_rounding() {
+        let mut cost = CostModel::production();
+        cost.percpu_hit_ns = 3.000_499_9;
+        cost.transfer_cache_ns = 27.182_818_3;
+        cost.central_freelist_ns = 31.400_5;
+        cost.pageheap_ns = 137.000_499_9;
+        cost.mmap_ns = 12_916.700_5;
+        cost.prefetch_ns = 1.234_567_8;
+        cost.other_ns = 1.765_432_1;
+        cost.sampled_alloc_ns = 5_000.000_5;
+        let mut view = StatsView::new(cost);
+        let mut want = CycleStats::new();
+        for path in AllocPath::ALL {
+            for prefetched in [false, true] {
+                for sampled in [false, true] {
+                    view.on_event(
+                        0,
+                        &AllocEvent::MallocDone {
+                            path,
+                            addr: 0x1000,
+                            size: 24,
+                            actual: 24,
+                            prefetched,
+                            sampled,
+                            class: None,
+                            span: None,
+                        },
+                    );
+                    want.charge(path.into(), cost.alloc_path_ns(path));
+                    if prefetched {
+                        want.charge(CycleCategory::Prefetch, cost.prefetch_ns);
+                    }
+                    want.charge(CycleCategory::Other, cost.other_ns);
+                    if sampled {
+                        want.charge(CycleCategory::Sampled, cost.sampled_alloc_ns);
+                    }
+                }
+            }
+            view.on_event(
+                0,
+                &AllocEvent::FreeDone {
+                    path,
+                    addr: 0x1000,
+                    size: 24,
+                },
+            );
+            want.charge(path.into(), cost.alloc_path_ns(path));
+            want.charge(CycleCategory::Other, cost.other_ns);
+        }
+        assert_eq!(view.cycles(), &want);
+        assert_eq!(want.ops(CycleCategory::Other), 25);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 
 use crate::spec::WorkloadSpec;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::str::FromStr;
-use wsc_prng::SmallRng;
+use wsc_prng::{IdBuildHasher, SmallRng};
 use wsc_sim_hw::topology::CpuId;
 use wsc_sim_os::clock::Clock;
 use wsc_tcmalloc::Tcmalloc;
@@ -205,8 +205,11 @@ impl Trace {
     /// trace bugs, not allocator bugs.
     pub fn replay(&self, tcm: &mut Tcmalloc, clock: &Clock) -> ReplayStats {
         let mut stats = ReplayStats::default();
-        // lint:allow(hashmap-decl) keyed by trace object id; never iterated
-        let mut live: std::collections::HashMap<u64, (u64, u64)> = std::collections::HashMap::new();
+        // lint:allow(hashmap-decl) keyed by trace object id; never iterated.
+        // Ids come from a recorded or hand-written trace, not an adversary,
+        // so the cheap IdHasher stands in for SipHash on this per-event
+        // probe.
+        let mut live: HashMap<u64, (u64, u64), IdBuildHasher> = HashMap::default();
         for ev in &self.events {
             match *ev {
                 TraceEvent::Alloc {
@@ -345,6 +348,35 @@ mod tests {
         assert_eq!(stats.allocs, stats.frees);
         assert_eq!(tcm.live_bytes(), 0);
         assert!(stats.peak_resident_bytes > 0);
+    }
+
+    #[test]
+    fn strided_ids_replay_like_dense_ids() {
+        // Ids are opaque keys: spreading them `1 << 20` apart must not
+        // change a single replayed number.
+        let dense = "# wsc-trace v1 hand\n\
+                     a 0 64 1 0\na 1 4096 2 1\na 2 24 1 2\nt 1000\n\
+                     f 1 3\na 3 300000 3 0\nf 0 1\nt 5000\n\
+                     a 4 64 1 2\nf 2 2\nf 3 0\nf 4 1\n";
+        let strided = "# wsc-trace v1 hand\n\
+                       a 0 64 1 0\na 1048576 4096 2 1\na 2097152 24 1 2\nt 1000\n\
+                       f 1048576 3\na 3145728 300000 3 0\nf 0 1\nt 5000\n\
+                       a 4194304 64 1 2\nf 2097152 2\nf 3145728 0\nf 4194304 1\n";
+        let run = |text: &str| {
+            let trace = Trace::from_text(text).unwrap();
+            let clock = Clock::new();
+            let mut tcm = Tcmalloc::new(
+                TcmallocConfig::optimized(),
+                Platform::chiplet("t", 1, 2, 4, 2),
+                clock.clone(),
+            );
+            let stats = trace.replay(&mut tcm, &clock);
+            assert_eq!(tcm.live_bytes(), 0);
+            stats
+        };
+        let a = run(dense);
+        assert_eq!((a.allocs, a.frees), (5, 5));
+        assert_eq!(a, run(strided));
     }
 
     #[test]
