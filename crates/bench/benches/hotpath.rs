@@ -31,6 +31,13 @@
 //! batched arm and is reported ungated: the pair loop above has no drain
 //! points, so the two shapes can rank the emission modes differently.
 //!
+//! Three ungated rows time the layers a fleet-survey machine spends its
+//! host time in, each the median of `ROUNDS` rounds: `filler_churn_mops`
+//! (span placement, free and subrelease in the hugepage filler),
+//! `llc_access_mops` (the LLC model on the 8-domain chiplet-64c geometry)
+//! and `size_draw_mops` (object-size draws with the mixture weights
+//! computed once per request, as the driver makes them).
+//!
 //! The combined-vs-radix-arm walk ratio is also reported (`ungated`): on
 //! uniform random streams both arms are cache-miss bound and land within
 //! ~±15% of each other; the masking arm's win is on the classification
@@ -43,14 +50,19 @@ use std::time::Instant;
 use wsc_bench::harness::JsonReport;
 use wsc_bench::Scale;
 use wsc_prng::SmallRng;
-use wsc_sim_hw::topology::{CpuId, Platform};
+use wsc_sim_hw::cache::LlcModel;
+use wsc_sim_hw::cost::CostModel;
+use wsc_sim_hw::topology::{CpuId, DomainId, Platform};
 use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
 use wsc_sim_os::clock::Clock;
 use wsc_sim_os::vmm::HEAP_BASE;
+use wsc_tcmalloc::pageheap::cache::HugeCache;
+use wsc_tcmalloc::pageheap::filler::HugePageFiller;
 use wsc_tcmalloc::pagemap::{HashPageMap, MaskingPageMap, PageMap, PAGES_PER_SEGMENT};
 use wsc_tcmalloc::span::{Span, SpanRegistry, SpanState};
-use wsc_tcmalloc::{PagemapArm, SpanId, Tcmalloc, TcmallocConfig};
+use wsc_tcmalloc::{EventBus, OsLayer, PagemapArm, SpanId, Tcmalloc, TcmallocConfig};
 use wsc_workload::profiles;
+use wsc_workload::spec::MixWeights;
 
 /// Cargo runs benches with cwd = the package dir; anchor the report to the
 /// workspace root so CI finds it at a fixed path.
@@ -344,6 +356,130 @@ fn churn_mops(ops: u64, cfg: TcmallocConfig) -> f64 {
     ops as f64 * 1e3 / ns.max(1.0)
 }
 
+/// Median of per-round rates (the new-layer rows report the median round,
+/// so one slow or lucky round cannot move them).
+fn median(mut rates: Vec<f64>) -> f64 {
+    rates.sort_by(f64::total_cmp);
+    rates[rates.len() / 2]
+}
+
+/// Hugepage-filler churn: seeded span placements and frees straight into a
+/// lifetime-aware `HugePageFiller`, with a subrelease pass every 256 ops —
+/// the pageheap layer a cold-start survey machine exercises. Each round
+/// replays the same precomputed stream into a fresh filler.
+fn filler_churn_mops(ops: u64) -> f64 {
+    let mut rng = SmallRng::seed_from_u64(0xF111);
+    let decisions: Vec<(f64, u64, u32, u32)> = (0..ops)
+        .map(|_| {
+            let pages = if rng.gen_range(0..16u32) == 0 {
+                rng.gen_range(16..128u32)
+            } else {
+                rng.gen_range(1..9u32)
+            };
+            (
+                rng.gen::<f64>(),
+                rng.gen::<u64>(),
+                pages,
+                rng.gen_range(1..512u32),
+            )
+        })
+        .collect();
+    let rates = (0..ROUNDS)
+        .map(|_| {
+            let cfg = TcmallocConfig::optimized();
+            let mut bus = EventBus::new(&cfg, CostModel::production(), Clock::new());
+            let mut filler = HugePageFiller::new(true, cfg.pageheap.capacity_threshold);
+            let mut cache = HugeCache::new(64 << 20);
+            let mut os = OsLayer::infallible();
+            let mut live: Vec<(u64, u32)> = Vec::new();
+            let t = Instant::now();
+            for (i, &(choice, victim, pages, capacity)) in decisions.iter().enumerate() {
+                if live.len() > 4_000 || (!live.is_empty() && choice < 0.45) {
+                    let (addr, n) = live.swap_remove((victim % live.len() as u64) as usize);
+                    filler.dealloc(addr, n, &mut cache, &mut os, &mut bus);
+                } else {
+                    let (addr, _) = filler
+                        .alloc(pages, capacity, &mut cache, &mut os, &mut bus)
+                        .expect("infallible OS");
+                    live.push((addr, pages));
+                }
+                if i % 256 == 255 {
+                    filler.subrelease(128, 2, &mut os, &mut bus);
+                }
+            }
+            let ns = t.elapsed().as_nanos() as f64;
+            black_box(filler.stats());
+            ops as f64 * 1e3 / ns.max(1.0)
+        })
+        .collect();
+    median(rates)
+}
+
+/// LLC model accesses on the chiplet-64c geometry (8 domains of 32 MiB):
+/// a precomputed stream over a hot set and a cold tail of blocks, sized
+/// like the driver's object touches, with an occasional unmap eviction.
+/// Each round replays it into a fresh model.
+fn llc_access_mops(ops: u64) -> f64 {
+    let platform = Platform::chiplet("chiplet-64c", 2, 4, 8, 2);
+    let spec = profiles::fleet_mix();
+    let mut rng = SmallRng::seed_from_u64(0x11C);
+    let domains = platform.num_domains() as u32;
+    let stream: Vec<(DomainId, u64, u64)> = (0..ops)
+        .map(|_| {
+            let block = if rng.gen_range(0..4u32) == 0 {
+                rng.gen_range(0..1u64 << 20)
+            } else {
+                rng.gen_range(0..16u64 << 10)
+            };
+            let bytes = spec.sample_size(0, &mut rng).0.min(256 << 10);
+            (DomainId(rng.gen_range(0..domains)), block << 12, bytes)
+        })
+        .collect();
+    let rates = (0..ROUNDS)
+        .map(|_| {
+            let mut llc = LlcModel::new(platform.num_domains(), platform.llc_bytes_per_domain());
+            let t = Instant::now();
+            for (i, &(domain, block, bytes)) in stream.iter().enumerate() {
+                if i % 64 == 63 {
+                    llc.evict(block);
+                } else {
+                    black_box(llc.access(domain, block, bytes));
+                }
+            }
+            let ns = t.elapsed().as_nanos() as f64;
+            black_box(llc.stats());
+            ops as f64 * 1e3 / ns.max(1.0)
+        })
+        .collect();
+    median(rates)
+}
+
+/// Object-size draws the way the request driver makes them: the mixture
+/// weights of a phase-drifting fleet binary computed once per request,
+/// then `allocs_per_request` draws from them.
+fn size_draw_mops(ops: u64) -> f64 {
+    let spec = profiles::fleet_binary(3);
+    let per_request = (spec.allocs_per_request.round() as u64).max(1);
+    let mut weights = MixWeights::default();
+    let rates = (0..ROUNDS)
+        .map(|_| {
+            let mut rng = SmallRng::seed_from_u64(0xD4A);
+            let mut sum = 0u64;
+            let t = Instant::now();
+            for req in 0..ops / per_request {
+                spec.mix_weights_at(req * 1_000_000, &mut weights);
+                for _ in 0..per_request {
+                    sum = sum.wrapping_add(spec.sample_size_from(&weights, &mut rng).0);
+                }
+            }
+            let ns = t.elapsed().as_nanos() as f64;
+            black_box(sum);
+            (ops / per_request * per_request) as f64 * 1e3 / ns.max(1.0)
+        })
+        .collect();
+    median(rates)
+}
+
 fn main() {
     let scale = Scale::from_env();
     let lookups = match scale.name {
@@ -574,6 +710,15 @@ fn main() {
     );
     println!("mixed churn batched  {churn_batched:>8.2} Mops/s  (ungated)");
 
+    // Survey layers, reported ungated (median of rounds).
+    let layer_ops = alloc_ops.max(100_000);
+    let filler_churn = filler_churn_mops(layer_ops);
+    let llc_access = llc_access_mops(layer_ops);
+    let size_draw = size_draw_mops(layer_ops);
+    println!("filler churn         {filler_churn:>8.2} Mops/s  (ungated)");
+    println!("llc access (8 dom)   {llc_access:>8.2} Mops/s  (ungated)");
+    println!("size draw (hoisted)  {size_draw:>8.2} Mops/s  (ungated)");
+
     let mut report = JsonReport::new();
     report
         .text("bench", "hotpath/lookups")
@@ -602,7 +747,10 @@ fn main() {
         .num("batched_event_overhead_pct", batched_event_overhead_pct)
         .flag("cycles_identical", cycles_identical)
         .num("mixed_churn_mops", churn)
-        .num("mixed_churn_batched_mops", churn_batched);
+        .num("mixed_churn_batched_mops", churn_batched)
+        .num("filler_churn_mops", filler_churn)
+        .num("llc_access_mops", llc_access)
+        .num("size_draw_mops", size_draw);
     report
         .write(OUT_PATH)
         .unwrap_or_else(|e| panic!("writing {OUT_PATH}: {e}"));

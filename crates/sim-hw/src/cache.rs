@@ -9,7 +9,8 @@
 //! needs to charge realistic stall cycles and report MPKI.
 
 use crate::topology::DomainId;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use wsc_prng::IdBuildHasher;
 
 /// Outcome of an LLC access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,133 +53,37 @@ impl LlcStats {
     }
 }
 
-/// An intrusive byte-capacity LRU keyed by block id.
-#[derive(Clone, Debug)]
-struct LruBytes {
-    capacity: u64,
-    used: u64,
-    /// key -> node index; order lives in the intrusive head/tail links
-    // lint:allow(hashmap-decl) keyed lookup only; never iterated
-    index: HashMap<u64, usize>,
-    nodes: Vec<Node>,
-    head: usize, // most recent; usize::MAX when empty
-    tail: usize, // least recent
-    free: Vec<usize>,
-}
-
+/// One cached block: a node of its domain's intrusive LRU list.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     key: u64,
     bytes: u64,
+    domain: usize,
     prev: usize,
     next: usize,
 }
 
 const NIL: usize = usize::MAX;
 
-impl LruBytes {
-    fn new(capacity: u64) -> Self {
-        Self {
-            capacity,
-            used: 0,
-            index: HashMap::new(),
-            nodes: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
-        }
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    /// Returns true (and refreshes recency) if `key` is resident.
-    fn touch(&mut self, key: u64) -> bool {
-        if let Some(&i) = self.index.get(&key) {
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Inserts `key`; evicts LRU entries until it fits. Oversized blocks are
-    /// clamped to capacity (streaming a block larger than the LLC just
-    /// flushes it).
-    fn insert(&mut self, key: u64, bytes: u64) {
-        if self.touch(key) {
-            return;
-        }
-        let bytes = bytes.min(self.capacity).max(1);
-        while self.used + bytes > self.capacity && self.tail != NIL {
-            let victim = self.tail;
-            let vkey = self.nodes[victim].key;
-            self.used -= self.nodes[victim].bytes;
-            self.unlink(victim);
-            self.index.remove(&vkey);
-            self.free.push(victim);
-        }
-        let node = Node {
-            key,
-            bytes,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = if let Some(i) = self.free.pop() {
-            self.nodes[i] = node;
-            i
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        };
-        self.index.insert(key, i);
-        self.used += bytes;
-        self.push_front(i);
-    }
-
-    fn remove(&mut self, key: u64) {
-        if let Some(i) = self.index.remove(&key) {
-            self.used -= self.nodes[i].bytes;
-            self.unlink(i);
-            self.free.push(i);
-        }
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
-    }
+/// One domain's LRU order and byte budget; its nodes live in the model's
+/// shared node pool.
+#[derive(Clone, Copy, Debug)]
+struct Domain {
+    used: u64,
+    head: usize, // most recent; NIL when empty
+    tail: usize, // least recent
 }
 
 /// Per-domain LLC model for one machine.
 ///
 /// Blocks are identified by an opaque `u64` key (the workload driver uses the
 /// object's base address rounded to a cache-friendly granule).
+///
+/// A block lives in at most one domain: a remote miss *moves* it to the
+/// accessing domain. So one index maps each resident block to its node, the
+/// node records its domain, and each domain keeps only its own LRU links and
+/// byte budget — every access is a single hash probe however many domains
+/// the machine has.
 ///
 /// # Example
 ///
@@ -194,7 +99,14 @@ impl LruBytes {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LlcModel {
-    domains: Vec<LruBytes>,
+    /// Capacity of each domain, bytes.
+    capacity: u64,
+    domains: Vec<Domain>,
+    /// Block -> node index, across all domains.
+    // lint:allow(hashmap-decl) keyed lookup only; never iterated
+    index: HashMap<u64, usize, IdBuildHasher>,
+    nodes: Vec<Node>,
+    free: Vec<usize>,
     stats: LlcStats,
 }
 
@@ -209,11 +121,75 @@ impl LlcModel {
         assert!(num_domains > 0, "need at least one domain");
         assert!(bytes_per_domain > 0, "LLC capacity must be positive");
         Self {
-            domains: (0..num_domains)
-                .map(|_| LruBytes::new(bytes_per_domain))
-                .collect(),
+            capacity: bytes_per_domain,
+            domains: vec![
+                Domain {
+                    used: 0,
+                    head: NIL,
+                    tail: NIL,
+                };
+                num_domains
+            ],
+            index: HashMap::default(),
+            nodes: Vec::new(),
+            free: Vec::new(),
             stats: LlcStats::default(),
         }
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Node {
+            domain, prev, next, ..
+        } = self.nodes[i];
+        if prev != NIL {
+            self.nodes[prev].next = next;
+        } else {
+            self.domains[domain].head = next;
+        }
+        if next != NIL {
+            self.nodes[next].prev = prev;
+        } else {
+            self.domains[domain].tail = prev;
+        }
+    }
+
+    fn push_front(&mut self, i: usize) {
+        let d = self.nodes[i].domain;
+        let head = self.domains[d].head;
+        self.nodes[i].prev = NIL;
+        self.nodes[i].next = head;
+        if head != NIL {
+            self.nodes[head].prev = i;
+        }
+        self.domains[d].head = i;
+        if self.domains[d].tail == NIL {
+            self.domains[d].tail = i;
+        }
+    }
+
+    /// Unlinks node `i` from its domain and returns its bytes to the budget.
+    fn detach(&mut self, i: usize) {
+        self.unlink(i);
+        let n = self.nodes[i];
+        self.domains[n.domain].used -= n.bytes;
+    }
+
+    /// Places the unlinked node `i` at the front of domain `d` as `bytes`,
+    /// first evicting `d`'s LRU blocks until it fits. Oversized blocks are
+    /// clamped to capacity (streaming a block larger than the LLC just
+    /// flushes it).
+    fn attach(&mut self, i: usize, d: usize, bytes: u64) {
+        let bytes = bytes.min(self.capacity).max(1);
+        while self.domains[d].used + bytes > self.capacity && self.domains[d].tail != NIL {
+            let victim = self.domains[d].tail;
+            self.detach(victim);
+            self.index.remove(&self.nodes[victim].key);
+            self.free.push(victim);
+        }
+        self.nodes[i].domain = d;
+        self.nodes[i].bytes = bytes;
+        self.domains[d].used += bytes;
+        self.push_front(i);
     }
 
     /// Performs one access from `domain` to `block` of `bytes` and
@@ -226,37 +202,51 @@ impl LlcModel {
         let d = domain.index();
         assert!(d < self.domains.len(), "domain {domain} out of range");
         self.stats.accesses += 1;
-        if self.domains[d].touch(block) {
-            self.stats.hits += 1;
-            return LlcAccess::Hit;
-        }
-        // Not local: is any other domain holding it?
-        let remote = self
-            .domains
-            .iter()
-            .enumerate()
-            .any(|(i, dom)| i != d && dom.contains(block));
-        if remote {
-            // Transfer: the line moves to the accessing domain.
-            for (i, dom) in self.domains.iter_mut().enumerate() {
-                if i != d {
-                    dom.remove(block);
+        match self.index.entry(block) {
+            Entry::Occupied(e) => {
+                let i = *e.get();
+                if self.nodes[i].domain == d {
+                    if self.domains[d].head != i {
+                        self.unlink(i);
+                        self.push_front(i);
+                    }
+                    self.stats.hits += 1;
+                    return LlcAccess::Hit;
                 }
+                // Transfer: the line moves to the accessing domain.
+                self.detach(i);
+                self.attach(i, d, bytes);
+                self.stats.remote_misses += 1;
+                LlcAccess::MissRemote
             }
-            self.domains[d].insert(block, bytes);
-            self.stats.remote_misses += 1;
-            LlcAccess::MissRemote
-        } else {
-            self.domains[d].insert(block, bytes);
-            self.stats.memory_misses += 1;
-            LlcAccess::MissMemory
+            Entry::Vacant(e) => {
+                let node = Node {
+                    key: block,
+                    bytes: 0,
+                    domain: d,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let i = if let Some(i) = self.free.pop() {
+                    self.nodes[i] = node;
+                    i
+                } else {
+                    self.nodes.push(node);
+                    self.nodes.len() - 1
+                };
+                e.insert(i);
+                self.attach(i, d, bytes);
+                self.stats.memory_misses += 1;
+                LlcAccess::MissMemory
+            }
         }
     }
 
     /// Evicts a block everywhere (the backing memory was unmapped).
     pub fn evict(&mut self, block: u64) {
-        for dom in &mut self.domains {
-            dom.remove(block);
+        if let Some(i) = self.index.remove(&block) {
+            self.detach(i);
+            self.free.push(i);
         }
     }
 
@@ -281,6 +271,237 @@ impl LlcModel {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// The per-domain model this one replaced: one LRU and one index per
+    /// domain, every miss probing (and removing from) every other domain.
+    /// Kept as the differential-test oracle.
+    mod per_domain {
+        use crate::cache::{LlcAccess, LlcStats};
+        use crate::topology::DomainId;
+        use std::collections::HashMap;
+
+        /// An intrusive byte-capacity LRU keyed by block id.
+        #[derive(Clone, Debug)]
+        struct LruBytes {
+            capacity: u64,
+            used: u64,
+            /// key -> node index; order lives in the intrusive head/tail links
+            // lint:allow(hashmap-decl) keyed lookup only; never iterated
+            index: HashMap<u64, usize>,
+            nodes: Vec<Node>,
+            head: usize, // most recent; usize::MAX when empty
+            tail: usize, // least recent
+            free: Vec<usize>,
+        }
+
+        #[derive(Clone, Copy, Debug)]
+        struct Node {
+            key: u64,
+            bytes: u64,
+            prev: usize,
+            next: usize,
+        }
+
+        const NIL: usize = usize::MAX;
+
+        impl LruBytes {
+            fn new(capacity: u64) -> Self {
+                Self {
+                    capacity,
+                    used: 0,
+                    index: HashMap::new(),
+                    nodes: Vec::new(),
+                    head: NIL,
+                    tail: NIL,
+                    free: Vec::new(),
+                }
+            }
+
+            fn unlink(&mut self, i: usize) {
+                let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
+                if prev != NIL {
+                    self.nodes[prev].next = next;
+                } else {
+                    self.head = next;
+                }
+                if next != NIL {
+                    self.nodes[next].prev = prev;
+                } else {
+                    self.tail = prev;
+                }
+            }
+
+            fn push_front(&mut self, i: usize) {
+                self.nodes[i].prev = NIL;
+                self.nodes[i].next = self.head;
+                if self.head != NIL {
+                    self.nodes[self.head].prev = i;
+                }
+                self.head = i;
+                if self.tail == NIL {
+                    self.tail = i;
+                }
+            }
+
+            /// Returns true (and refreshes recency) if `key` is resident.
+            fn touch(&mut self, key: u64) -> bool {
+                if let Some(&i) = self.index.get(&key) {
+                    if self.head != i {
+                        self.unlink(i);
+                        self.push_front(i);
+                    }
+                    true
+                } else {
+                    false
+                }
+            }
+
+            /// Inserts `key`; evicts LRU entries until it fits. Oversized blocks are
+            /// clamped to capacity (streaming a block larger than the LLC just
+            /// flushes it).
+            fn insert(&mut self, key: u64, bytes: u64) {
+                if self.touch(key) {
+                    return;
+                }
+                let bytes = bytes.min(self.capacity).max(1);
+                while self.used + bytes > self.capacity && self.tail != NIL {
+                    let victim = self.tail;
+                    let vkey = self.nodes[victim].key;
+                    self.used -= self.nodes[victim].bytes;
+                    self.unlink(victim);
+                    self.index.remove(&vkey);
+                    self.free.push(victim);
+                }
+                let node = Node {
+                    key,
+                    bytes,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let i = if let Some(i) = self.free.pop() {
+                    self.nodes[i] = node;
+                    i
+                } else {
+                    self.nodes.push(node);
+                    self.nodes.len() - 1
+                };
+                self.index.insert(key, i);
+                self.used += bytes;
+                self.push_front(i);
+            }
+
+            fn remove(&mut self, key: u64) {
+                if let Some(i) = self.index.remove(&key) {
+                    self.used -= self.nodes[i].bytes;
+                    self.unlink(i);
+                    self.free.push(i);
+                }
+            }
+
+            fn contains(&self, key: u64) -> bool {
+                self.index.contains_key(&key)
+            }
+        }
+
+        pub struct PerDomainLlc {
+            domains: Vec<LruBytes>,
+            stats: LlcStats,
+        }
+
+        impl PerDomainLlc {
+            pub fn new(num_domains: usize, bytes_per_domain: u64) -> Self {
+                Self {
+                    domains: (0..num_domains)
+                        .map(|_| LruBytes::new(bytes_per_domain))
+                        .collect(),
+                    stats: LlcStats::default(),
+                }
+            }
+
+            pub fn access(&mut self, domain: DomainId, block: u64, bytes: u64) -> LlcAccess {
+                let d = domain.index();
+                assert!(d < self.domains.len(), "domain {domain} out of range");
+                self.stats.accesses += 1;
+                if self.domains[d].touch(block) {
+                    self.stats.hits += 1;
+                    return LlcAccess::Hit;
+                }
+                // Not local: is any other domain holding it?
+                let remote = self
+                    .domains
+                    .iter()
+                    .enumerate()
+                    .any(|(i, dom)| i != d && dom.contains(block));
+                if remote {
+                    // Transfer: the line moves to the accessing domain.
+                    for (i, dom) in self.domains.iter_mut().enumerate() {
+                        if i != d {
+                            dom.remove(block);
+                        }
+                    }
+                    self.domains[d].insert(block, bytes);
+                    self.stats.remote_misses += 1;
+                    LlcAccess::MissRemote
+                } else {
+                    self.domains[d].insert(block, bytes);
+                    self.stats.memory_misses += 1;
+                    LlcAccess::MissMemory
+                }
+            }
+
+            /// Evicts a block everywhere (the backing memory was unmapped).
+            pub fn evict(&mut self, block: u64) {
+                for dom in &mut self.domains {
+                    dom.remove(block);
+                }
+            }
+
+            pub fn stats(&self) -> LlcStats {
+                self.stats
+            }
+        }
+    }
+
+    /// Seeded access/evict streams over a key space a few times larger than
+    /// the cache, so LRU eviction, remote transfers and explicit evicts all
+    /// happen: every outcome and the final counters match the per-domain
+    /// model.
+    #[test]
+    fn single_index_matches_per_domain_model() {
+        use wsc_prng::SmallRng;
+        for domains in [1usize, 2, 8] {
+            for seed in 0..8u64 {
+                let mut rng = SmallRng::seed_from_u64(seed * 31 + domains as u64);
+                let capacity = 4096;
+                let mut fast = LlcModel::new(domains, capacity);
+                let mut oracle = per_domain::PerDomainLlc::new(domains, capacity);
+                for step in 0..20_000 {
+                    let block = rng.gen_range(0..64u64);
+                    if rng.gen_range(0..16u32) == 0 {
+                        fast.evict(block);
+                        oracle.evict(block);
+                        continue;
+                    }
+                    let d = DomainId(rng.gen_range(0..domains as u32));
+                    // Mostly small blocks, some oversized (clamped) ones.
+                    let bytes = if rng.gen_range(0..64u32) == 0 {
+                        rng.gen_range(capacity..4 * capacity)
+                    } else {
+                        rng.gen_range(0..512u64)
+                    };
+                    assert_eq!(
+                        fast.access(d, block, bytes),
+                        oracle.access(d, block, bytes),
+                        "{domains} domains, seed {seed}, step {step}"
+                    );
+                }
+                let s = fast.stats();
+                assert_eq!(s, oracle.stats(), "{domains} domains, seed {seed}");
+                assert!(s.hits > 1000 && s.memory_misses > 1000, "{s:?}");
+                assert!(domains == 1 || s.remote_misses > 1000, "{s:?}");
+            }
+        }
+    }
 
     #[test]
     fn hit_after_insert() {

@@ -32,6 +32,64 @@ pub const HP_PAGES: u32 = TCMALLOC_PAGES_PER_HUGE as u32;
 
 const WORDS: usize = HP_PAGES as usize / 64;
 
+/// Words of a per-set `nonempty` bitmap: one bit per `lists[set][lfr]`
+/// bucket, `lfr` in `0..=HP_PAGES`.
+const LFR_WORDS: usize = HP_PAGES as usize / 64 + 1;
+
+/// A per-page bitmap of one hugepage.
+type PageMask = [u64; WORDS];
+
+/// Bits `lo..hi` of one word (`lo < hi <= 64`).
+fn bit_range(lo: u32, hi: u32) -> u64 {
+    (u64::MAX >> (64 - (hi - lo))) << lo
+}
+
+/// Calls `f(word, bits)` for each word the page range `[start, start + n)`
+/// touches, with the range's bits in that word.
+fn for_each_word(start: u32, n: u32, mut f: impl FnMut(usize, u64)) {
+    let end = start + n;
+    let mut i = start;
+    while i < end {
+        let w = i / 64;
+        let hi = end.min(w * 64 + 64);
+        f(w as usize, bit_range(i % 64, hi - w * 64));
+        i = hi;
+    }
+}
+
+/// The first page at or after `from` whose bit in `mask` is `bit`, or
+/// `HP_PAGES` if there is none: a trailing-zeros scan, one word at a time.
+fn next_bit(mask: &PageMask, from: u32, bit: bool) -> u32 {
+    let flip = if bit { 0 } else { u64::MAX };
+    let mut w = from as usize / 64;
+    let mut word = match mask.get(w) {
+        Some(m) => (m ^ flip) & (u64::MAX << (from % 64)),
+        None => return HP_PAGES,
+    };
+    while word == 0 {
+        w += 1;
+        match mask.get(w) {
+            Some(m) => word = m ^ flip,
+            None => return HP_PAGES,
+        }
+    }
+    w as u32 * 64 + word.trailing_zeros()
+}
+
+/// The maximal runs of clear bits in `mask`, lowest first, as
+/// `(start, len)`.
+fn clear_runs(mask: PageMask) -> impl Iterator<Item = (u32, u32)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let start = next_bit(&mask, pos, false);
+        if start == HP_PAGES {
+            return None;
+        }
+        pos = next_bit(&mask, start, true);
+        Some((start, pos - start))
+    })
+}
+
 /// Lifetime bucket a span is assigned to (lifetime-aware mode).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LifetimeSet {
@@ -79,23 +137,17 @@ impl PageTracker {
         }
     }
 
-    fn used_bit(&self, i: u32) -> bool {
-        // lint:allow(panic-surface) i < HP_PAGES by construction, and the
-        // mask is sized HP_PAGES/64 at tracker creation.
-        self.used_mask[i as usize / 64] >> (i % 64) & 1 == 1
-    }
-
     fn set_used(&mut self, start: u32, n: u32, v: bool) {
-        for i in start..start + n {
-            let (w, b) = (i as usize / 64, i % 64);
+        let mask = &mut self.used_mask;
+        for_each_word(start, n, |w, bits| {
             if v {
-                debug_assert!(self.used_mask[w] >> b & 1 == 0, "page {i} already used");
-                self.used_mask[w] |= 1 << b;
+                debug_assert!(mask[w] & bits == 0, "pages {start}+{n} already used");
+                mask[w] |= bits;
             } else {
-                debug_assert!(self.used_mask[w] >> b & 1 == 1, "page {i} not used");
-                self.used_mask[w] &= !(1 << b);
+                debug_assert!(mask[w] & bits == bits, "pages {start}+{n} not used");
+                mask[w] &= !bits;
             }
-        }
+        });
         if v {
             self.used += n;
         } else {
@@ -103,38 +155,18 @@ impl PageTracker {
         }
     }
 
-    fn released_bit(&self, i: u32) -> bool {
-        // lint:allow(panic-surface) same fixed-size mask bound as used_bit.
-        self.released_mask[i as usize / 64] >> (i % 64) & 1 == 1
-    }
-
     fn longest_free_range(&self) -> u32 {
-        let mut best = 0u32;
-        let mut run = 0u32;
-        for i in 0..HP_PAGES {
-            if self.used_bit(i) {
-                run = 0;
-            } else {
-                run += 1;
-                best = best.max(run);
-            }
-        }
-        best
+        clear_runs(self.used_mask)
+            .map(|(_, len)| len)
+            .max()
+            .unwrap_or(0)
     }
 
+    /// First fit: the start of the lowest free run of at least `n` pages.
     fn find_fit(&self, n: u32) -> Option<u32> {
-        let mut run = 0u32;
-        for i in 0..HP_PAGES {
-            if self.used_bit(i) {
-                run = 0;
-            } else {
-                run += 1;
-                if run == n {
-                    return Some(i + 1 - n);
-                }
-            }
-        }
-        None
+        clear_runs(self.used_mask)
+            .find(|&(_, len)| len >= n)
+            .map(|(start, _)| start)
     }
 
     fn free_pages(&self) -> u32 {
@@ -173,6 +205,10 @@ pub struct HugePageFiller {
     by_hugepage: HashMap<u64, usize>,
     /// `lists[set][lfr]` = tracker ids with that longest free range.
     lists: Vec<Vec<Vec<usize>>>,
+    /// Bit `lfr` of `nonempty[set]` is set exactly when `lists[set][lfr]`
+    /// is non-empty, so a search for the smallest fitting range is a
+    /// trailing-zeros scan instead of a walk over up to 257 buckets.
+    nonempty: [[u64; LFR_WORDS]; 2],
     lifetime_aware: bool,
     capacity_threshold: u32,
     freed_whole: u64,
@@ -189,6 +225,7 @@ impl HugePageFiller {
             free_ids: Vec::new(),
             by_hugepage: HashMap::new(),
             lists: vec![vec![Vec::new(); HP_PAGES as usize + 1]; 2],
+            nonempty: [[0; LFR_WORDS]; 2],
             lifetime_aware,
             capacity_threshold,
             freed_whole: 0,
@@ -228,7 +265,10 @@ impl HugePageFiller {
         };
         let list = &mut self.lists[set][lfr as usize];
         list.swap_remove(pos);
-        if pos < list.len() {
+        if list.is_empty() {
+            let w = lfr as usize / 64;
+            self.nonempty[set][w] &= !(1 << (lfr % 64));
+        } else if pos < list.len() {
             let moved = list[pos];
             self.tracker_mut(moved).pos = pos as u32;
         }
@@ -241,9 +281,23 @@ impl HugePageFiller {
         };
         let pos = self.lists[set][lfr as usize].len() as u32;
         self.lists[set][lfr as usize].push(id);
+        let w = lfr as usize / 64;
+        self.nonempty[set][w] |= 1 << (lfr % 64);
         let t = self.tracker_mut(id);
         t.lfr = lfr;
         t.pos = pos;
+    }
+
+    /// The smallest `lfr >= pages` whose list in `set` is non-empty.
+    fn smallest_fitting_lfr(&self, set: usize, pages: u32) -> Option<usize> {
+        let bitmap = &self.nonempty[set];
+        let mut w = pages as usize / 64;
+        let mut word = bitmap[w] & (u64::MAX << (pages % 64));
+        while word == 0 {
+            w += 1;
+            word = *bitmap.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
     }
 
     fn new_tracker(&mut self, base: u64, set: usize) -> usize {
@@ -286,18 +340,12 @@ impl HugePageFiller {
         let set = self.set_for(span_capacity);
         // Baseline policy: smallest longest-free-range that fits, then most
         // allocations within that list.
-        let mut chosen: Option<usize> = None;
-        for lfr in pages..=HP_PAGES {
-            let list = &self.lists[set][lfr as usize];
-            if list.is_empty() {
-                continue;
-            }
-            chosen = list
+        let chosen = self.smallest_fitting_lfr(set, pages).and_then(|lfr| {
+            self.lists[set][lfr]
                 .iter()
                 .copied()
-                .max_by_key(|&id| self.tracker(id).allocations);
-            break;
-        }
+                .max_by_key(|&id| self.tracker(id).allocations)
+        });
         let (id, mmapped) = match chosen {
             Some(id) => (id, false),
             None => {
@@ -325,14 +373,11 @@ impl HugePageFiller {
         let addr = t.base + off as u64 * TCMALLOC_PAGE_BYTES;
         // Fault back any subreleased pages we just allocated over.
         let mut cleared = 0u32;
-        for i in off..off + pages {
-            if t.released_bit(i) {
-                // lint:allow(panic-surface) i < HP_PAGES: the allocation
-                // was just placed inside this tracker's hugepage.
-                t.released_mask[i as usize / 64] &= !(1 << (i % 64));
-                cleared += 1;
-            }
-        }
+        let released = &mut t.released_mask;
+        for_each_word(off, pages, |w, bits| {
+            cleared += (released[w] & bits).count_ones();
+            released[w] &= !bits;
+        });
         if cleared > 0 {
             os.reoccupy(addr, pages as u64 * TCMALLOC_PAGE_BYTES);
             bus.emit(AllocEvent::HugepageFill {
@@ -469,88 +514,87 @@ impl HugePageFiller {
             } else {
                 grace_passes.saturating_mul(8).max(8)
             };
-            for lfr in (1..=HP_PAGES as usize).rev() {
-                // Collect ids first: subreleasing does not move lists
-                // (used_mask is untouched), so iteration stays valid.
-                let ids: Vec<usize> = self.lists[set][lfr].clone();
-                for id in ids {
-                    if released >= target_pages {
-                        break 'outer;
-                    }
-                    {
-                        let t = self.tracker_mut(id);
-                        if t.idle_passes < required {
-                            t.idle_passes = t.idle_passes.saturating_add(1);
-                            continue;
+            // Visit the non-empty buckets from the highest longest free
+            // range down, skipping the full (lfr 0) bucket. Subreleasing
+            // does not move trackers between lists (used_mask is
+            // untouched), so this snapshot of the bitmap stays valid.
+            let mut buckets = self.nonempty[set];
+            buckets[0] &= !1;
+            for w in (0..LFR_WORDS).rev() {
+                while buckets[w] != 0 {
+                    let bit = 63 - buckets[w].leading_zeros();
+                    buckets[w] &= !(1 << bit);
+                    let lfr = w * 64 + bit as usize;
+                    for k in 0..self.lists[set][lfr].len() {
+                        if released >= target_pages {
+                            break 'outer;
                         }
-                    }
-                    let budget = (target_pages - released) as u32;
-                    let (base, to_release) = {
-                        let t = self.tracker_mut(id);
-                        if t.donated {
-                            continue;
-                        }
-                        // Release free, not-yet-released pages up to budget.
-                        let mut pages_left = budget;
-                        let mut run: Option<(u32, u32)> = None;
-                        let mut to_release: Vec<(u32, u32)> = Vec::new();
-                        for i in 0..HP_PAGES {
-                            if pages_left == 0 {
-                                break;
-                            }
-                            if !t.used_bit(i) && !t.released_bit(i) {
-                                match run {
-                                    Some((s, ref mut n)) if s + *n == i => *n += 1,
-                                    _ => {
-                                        if let Some(r) = run.take() {
-                                            to_release.push(r);
-                                        }
-                                        run = Some((i, 1));
-                                    }
-                                }
-                                pages_left -= 1;
-                            } else if let Some(r) = run.take() {
-                                to_release.push(r);
-                            }
-                        }
-                        if let Some(r) = run {
-                            to_release.push(r);
-                        }
-                        (t.base, to_release)
-                    };
-                    for (s, n) in to_release {
-                        // Commit the released bits only after the kernel
-                        // accepted the madvise — a failed subrelease leaves
-                        // the pages resident, and marking them released
-                        // anyway would break conservation (resident ==
-                        // live + fragmentation).
-                        if os
-                            .subrelease(
-                                base + s as u64 * TCMALLOC_PAGE_BYTES,
-                                n as u64 * TCMALLOC_PAGE_BYTES,
-                                bus,
-                            )
-                            .is_err()
-                        {
-                            // Flaky madvise: skipped this pass, retried on
-                            // the next one.
-                            continue;
-                        }
-                        let t = self.tracker_mut(id);
-                        for i in s..s + n {
-                            // lint:allow(panic-surface) s + n <= HP_PAGES:
-                            // free ranges never cross a hugepage.
-                            t.released_mask[i as usize / 64] |= 1 << (i % 64);
-                        }
-                        bus.emit(AllocEvent::HugepageBreak {
-                            base: base + s as u64 * TCMALLOC_PAGE_BYTES,
-                            bytes: n as u64 * TCMALLOC_PAGE_BYTES,
-                        });
-                        released += n as u64;
-                        self.subreleased_total += n as u64;
+                        let id = self.lists[set][lfr][k];
+                        released +=
+                            self.subrelease_tracker(id, required, target_pages - released, os, bus);
                     }
                 }
             }
+        }
+        released
+    }
+
+    /// One subrelease visit to tracker `id`: counts an idle pass, or, once
+    /// the tracker has been idle for `required` passes, releases up to
+    /// `budget` of its free, not-yet-released pages, lowest first. Returns
+    /// the pages released.
+    fn subrelease_tracker(
+        &mut self,
+        id: usize,
+        required: u8,
+        budget: u64,
+        os: &mut OsLayer,
+        bus: &mut EventBus,
+    ) -> u64 {
+        let t = self.tracker_mut(id);
+        if t.idle_passes < required {
+            t.idle_passes = t.idle_passes.saturating_add(1);
+            return 0;
+        }
+        if t.donated {
+            return 0;
+        }
+        let base = t.base;
+        let mut releasable = t.used_mask;
+        for (r, released) in releasable.iter_mut().zip(&t.released_mask) {
+            *r |= released;
+        }
+        let mut pages_left = budget as u32;
+        let mut released = 0u64;
+        for (s, run) in clear_runs(releasable) {
+            if pages_left == 0 {
+                break;
+            }
+            let n = run.min(pages_left);
+            pages_left -= n;
+            // Commit the released bits only after the kernel accepted the
+            // madvise — a failed subrelease leaves the pages resident, and
+            // marking them released anyway would break conservation
+            // (resident == live + fragmentation).
+            if os
+                .subrelease(
+                    base + s as u64 * TCMALLOC_PAGE_BYTES,
+                    n as u64 * TCMALLOC_PAGE_BYTES,
+                    bus,
+                )
+                .is_err()
+            {
+                // Flaky madvise: skipped this pass, retried on the next one.
+                continue;
+            }
+            let mask = &mut self.tracker_mut(id).released_mask;
+            for_each_word(s, n, |w, bits| mask[w] |= bits);
+            bus.emit(AllocEvent::HugepageBreak {
+                base: base + s as u64 * TCMALLOC_PAGE_BYTES,
+                bytes: n as u64 * TCMALLOC_PAGE_BYTES,
+            });
+            released += n as u64;
+            self.subreleased_total += n as u64;
         }
         released
     }
@@ -631,6 +675,148 @@ mod tests {
                 Clock::new(),
             ),
         )
+    }
+
+    /// Bit-by-bit oracles for the word-wise scans.
+    fn oracle_runs(mask: &PageMask) -> (u32, Vec<(u32, u32)>) {
+        let mut runs = Vec::new();
+        let mut run = 0u32;
+        for i in 0..=HP_PAGES {
+            let used = i == HP_PAGES || mask[i as usize / 64] >> (i % 64) & 1 == 1;
+            if used {
+                if run > 0 {
+                    runs.push((i - run, run));
+                }
+                run = 0;
+            } else {
+                run += 1;
+            }
+        }
+        (runs.iter().map(|r| r.1).max().unwrap_or(0), runs)
+    }
+
+    fn oracle_find_fit(mask: &PageMask, n: u32) -> Option<u32> {
+        let mut run = 0u32;
+        for i in 0..HP_PAGES {
+            if mask[i as usize / 64] >> (i % 64) & 1 == 1 {
+                run = 0;
+            } else {
+                run += 1;
+                if run == n {
+                    return Some(i + 1 - n);
+                }
+            }
+        }
+        None
+    }
+
+    /// Checks the scans of `mask` against the oracles, for every request
+    /// size or (`every_size` false) for the sizes around its longest run.
+    fn check_scans(mask: PageMask, every_size: bool) {
+        let mut t = PageTracker::new(0, 0);
+        t.used_mask = mask;
+        let (lfr, runs) = oracle_runs(&mask);
+        assert_eq!(t.longest_free_range(), lfr, "{mask:x?}");
+        assert_eq!(clear_runs(mask).collect::<Vec<_>>(), runs, "{mask:x?}");
+        let sizes: Vec<u32> = if every_size {
+            (1..=HP_PAGES).collect()
+        } else {
+            vec![1, 2, lfr.max(2) - 1, lfr.max(1), lfr + 1]
+        };
+        for n in sizes {
+            assert_eq!(t.find_fit(n), oracle_find_fit(&mask, n), "{mask:x?} n={n}");
+        }
+    }
+
+    #[test]
+    fn word_scans_match_bitwise_oracle() {
+        check_scans([0; WORDS], true);
+        check_scans([u64::MAX; WORDS], true);
+        // Runs crossing each word boundary, and runs ending on one.
+        for edge in [64u32, 128, 192] {
+            for (lo, hi) in [(edge - 1, edge + 1), (edge - 5, edge), (edge, edge + 7)] {
+                let mut mask = [u64::MAX; WORDS];
+                for_each_word(lo, hi - lo, |w, bits| mask[w] &= !bits);
+                check_scans(mask, true);
+                check_scans(mask.map(|w| !w), true);
+            }
+        }
+        let mut rng = wsc_prng::SmallRng::seed_from_u64(14);
+        for _ in 0..10_000 {
+            // Mix dense, sparse and long-run masks: AND/OR of random words
+            // shifts the used density, and a random cleared range makes
+            // long free runs that the fit search must find.
+            let mut mask: PageMask = std::array::from_fn(|_| rng.gen::<u64>());
+            match rng.gen_range(0..4u32) {
+                0 => mask = mask.map(|w| w | rng.gen::<u64>()),
+                1 => mask = mask.map(|w| w & rng.gen::<u64>()),
+                _ => {}
+            }
+            if rng.gen::<bool>() {
+                let start = rng.gen_range(0..HP_PAGES);
+                let n = rng.gen_range(1..=HP_PAGES - start);
+                for_each_word(start, n, |w, bits| mask[w] &= !bits);
+            }
+            check_scans(mask, false);
+        }
+    }
+
+    /// Every `nonempty` bit is set exactly when its list is non-empty, and
+    /// every tracker sits in the list its `lfr` names.
+    fn check_index(f: &HugePageFiller) {
+        for set in 0..2 {
+            for lfr in 0..=HP_PAGES as usize {
+                let bit = f.nonempty[set][lfr / 64] >> (lfr % 64) & 1 == 1;
+                assert_eq!(bit, !f.lists[set][lfr].is_empty(), "set {set} lfr {lfr}");
+                for (pos, &id) in f.lists[set][lfr].iter().enumerate() {
+                    let t = f.tracker(id);
+                    assert_eq!((t.set, t.lfr as usize, t.pos as usize), (set, lfr, pos));
+                    assert_eq!(t.lfr, t.longest_free_range());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nonempty_bitmap_tracks_lists_through_churn() {
+        let mut f = HugePageFiller::new(true, 16);
+        let (_, mut c, mut os, mut b) = setup();
+        let mut rng = wsc_prng::SmallRng::seed_from_u64(7);
+        let mut live: Vec<(u64, u32)> = Vec::new();
+        for step in 0..4_000 {
+            match rng.gen_range(0..8u32) {
+                0..=3 => {
+                    let pages = if rng.gen_range(0..8u32) == 0 {
+                        rng.gen_range(64..HP_PAGES)
+                    } else {
+                        rng.gen_range(1..16u32)
+                    };
+                    let capacity = rng.gen_range(1..64u32);
+                    let (addr, _) = f.alloc(pages, capacity, &mut c, &mut os, &mut b).unwrap();
+                    live.push((addr, pages));
+                }
+                4..=6 if !live.is_empty() => {
+                    let (addr, pages) = live.swap_remove(rng.gen_range(0..live.len()));
+                    f.dealloc(addr, pages, &mut c, &mut os, &mut b);
+                }
+                _ => {
+                    f.subrelease(
+                        rng.gen_range(1..512u64),
+                        rng.gen_range(0..3u8),
+                        &mut os,
+                        &mut b,
+                    );
+                }
+            }
+            check_index(&f);
+            let s = f.stats();
+            assert_eq!(
+                s.used_pages,
+                live.iter().map(|l| l.1 as u64).sum::<u64>(),
+                "step {step}"
+            );
+        }
+        assert!(f.stats().subreleased_total > 0, "churn never subreleased");
     }
 
     #[test]

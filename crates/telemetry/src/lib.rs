@@ -16,8 +16,6 @@
 //!   exactly-mergeable accumulators the streaming fleet engine folds
 //!   per-cell telemetry into (any thread/shard partition reduces to the
 //!   same bytes),
-//! * [`metrics::MetricRegistry`] — named counters and gauges shared by the
-//!   allocator and the workload driver,
 //! * [`gwp`] — the byte-threshold allocation sampler (1 sample / 2 MiB, as in
 //!   production TCMalloc) and profile aggregation across machines.
 //!
@@ -40,13 +38,11 @@
 pub mod cdf;
 pub mod gwp;
 pub mod histogram;
-pub mod metrics;
 pub mod stats;
 pub mod summary;
 pub mod timeseries;
 
 pub use cdf::Cdf;
 pub use histogram::LogHistogram;
-pub use metrics::MetricRegistry;
 pub use summary::{BucketSeries, Coverage, MetricSummary};
 pub use timeseries::TimeSeries;

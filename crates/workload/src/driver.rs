@@ -14,7 +14,7 @@
 //! the page-table state the pageheap produces (hugepages intact vs
 //! subreleased) feeds the dTLB simulator on every access.
 
-use crate::spec::WorkloadSpec;
+use crate::spec::{MixWeights, WorkloadSpec};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use wsc_parallel::{Engine, Task, TaskError};
@@ -172,6 +172,7 @@ pub fn run(
     let mut working_set: VecDeque<usize> = VecDeque::new();
     let mut working_set_bytes: u64 = 0;
     let mut ws_cursor = 0usize;
+    let mut weights = MixWeights::default();
 
     let mut busy_ns = 0.0f64;
     let mut malloc_ns = 0.0f64;
@@ -280,8 +281,12 @@ pub fn run(
             let frac = spec.allocs_per_request - base as f64;
             base + u64::from(rng.gen::<f64>() < frac)
         };
+        if n_allocs > 0 {
+            // `now` is fixed for the request: weigh the mixture once.
+            spec.mix_weights_at(now, &mut weights);
+        }
         for _ in 0..n_allocs {
-            let (size, site) = spec.sample_size(now, &mut rng);
+            let (size, site) = spec.sample_size_from(&weights, &mut rng);
             // Fault-aware: a refused allocation drops the request's object
             // (the workload degrades) instead of aborting the run.
             let a = match tcm.try_malloc_with_site(size, cpu, site as u64) {

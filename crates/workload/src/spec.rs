@@ -246,6 +246,14 @@ impl SizeComponent {
     }
 }
 
+/// A size mixture's component weights frozen at one instant (see
+/// [`WorkloadSpec::mix_weights_at`]).
+#[derive(Clone, Debug, Default)]
+pub struct MixWeights {
+    weights: Vec<f64>,
+    total: f64,
+}
+
 /// A complete workload model.
 #[derive(Clone, Debug)]
 pub struct WorkloadSpec {
@@ -291,15 +299,48 @@ impl WorkloadSpec {
     /// Draws an object size at time `t_ns` and the index of the component
     /// (allocation site) it came from.
     pub fn sample_size(&self, t_ns: u64, rng: &mut SmallRng) -> (u64, usize) {
-        let total: f64 = self
-            .size_mix
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.weight * self.phase_weight(i, t_ns))
-            .sum();
+        let weight = |i: usize| self.size_mix[i].weight * self.phase_weight(i, t_ns);
+        let total: f64 = (0..self.size_mix.len()).map(weight).sum();
+        self.pick_size(total, weight, rng)
+    }
+
+    /// Fills `out` with the mixture's component weights at `t_ns`, reusing
+    /// its buffer. Drawing with [`WorkloadSpec::sample_size_from`] then
+    /// skips the per-draw phase sinusoids: a caller that draws many sizes
+    /// at one instant computes the weights once.
+    pub fn mix_weights_at(&self, t_ns: u64, out: &mut MixWeights) {
+        out.weights.clear();
+        out.weights.extend(
+            self.size_mix
+                .iter()
+                .enumerate()
+                .map(|(i, c)| c.weight * self.phase_weight(i, t_ns)),
+        );
+        out.total = out.weights.iter().sum();
+    }
+
+    /// [`WorkloadSpec::sample_size`] with weights from
+    /// [`WorkloadSpec::mix_weights_at`]: the same draw, bit for bit, as
+    /// `sample_size` at that instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` was filled from a spec with fewer components.
+    pub fn sample_size_from(&self, weights: &MixWeights, rng: &mut SmallRng) -> (u64, usize) {
+        self.pick_size(weights.total, |i| weights.weights[i], rng)
+    }
+
+    /// Picks component `i` with probability `weight(i) / total`, then draws
+    /// its size.
+    fn pick_size(
+        &self,
+        total: f64,
+        weight: impl Fn(usize) -> f64,
+        rng: &mut SmallRng,
+    ) -> (u64, usize) {
         let mut pick = rng.gen::<f64>() * total;
         for (i, c) in self.size_mix.iter().enumerate() {
-            pick -= c.weight * self.phase_weight(i, t_ns);
+            pick -= weight(i);
             if pick <= 0.0 {
                 return (c.dist.sample(rng).max(1), i);
             }
@@ -472,6 +513,30 @@ mod tests {
         };
         assert_eq!(draw(7), draw(7));
         assert_ne!(draw(7), draw(8));
+    }
+
+    #[test]
+    fn hoisted_weights_draw_bit_identical_sizes() {
+        let mut weights = MixWeights::default();
+        for binary in 0..64 {
+            let spec = crate::profiles::fleet_binary(binary);
+            let (mut a, mut b) = (
+                SmallRng::seed_from_u64(binary),
+                SmallRng::seed_from_u64(binary),
+            );
+            for step in 0..64u64 {
+                let t = step * spec.phase_period_ns.max(1) / 7 + binary;
+                spec.mix_weights_at(t, &mut weights);
+                for _ in 0..32 {
+                    assert_eq!(
+                        spec.sample_size_from(&weights, &mut a),
+                        spec.sample_size(t, &mut b),
+                        "binary {binary} t {t}"
+                    );
+                }
+            }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "streams diverged");
+        }
     }
 
     #[test]
